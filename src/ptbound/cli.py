@@ -114,8 +114,9 @@ def _spectra(args, p):
         if args.method in ("hofd", "both"):
             n_levels = count
             if n_levels is None:
-                n_levels = len(results.get("DVR", dvr.hyperbolic_spectrum(
-                    p, b=args.box_b)).eigenvalues)
+                levels = (results["DVR"] if "DVR" in results
+                          else dvr.hyperbolic_spectrum(p, b=args.box_b))
+                n_levels = len(levels.eigenvalues)
             cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M,
                              k=args.stencil_k)
             results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=n_levels)

@@ -5,6 +5,10 @@ onto (0, 1) and discretized on a uniform grid with wide stencils of
 maximal consistency order; the finite well needs only a rescaling to
 (0, 1). The compactification scale zeta is retuned per eigenvalue
 index, so the hyperbolic operator is rebuilt for every requested level.
+
+The operator is real and nonsymmetric, and only its lowest few near-real
+eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
+(`linalg.eig_shift_invert`) rather than a dense eigendecomposition.
 """
 
 from __future__ import annotations
@@ -17,12 +21,17 @@ import numpy as np
 
 from . import linalg
 from .dvr import SpectrumResult
-from .errors import ConfigError, SolverError
-from .potentials import HyperbolicParams, TrigParams, eval_hyperbolic, eval_trig
+from .errors import ConfigError
+from .potentials import (
+    ASYMPTOTE,
+    HyperbolicParams,
+    TrigParams,
+    eval_hyperbolic,
+    eval_trig,
+)
 
 DEFAULT_M = 500
 DEFAULT_K = 4
-REALNESS_RTOL = 1e-8
 CONDITIONING_NODE_LIMIT = 20
 
 
@@ -88,26 +97,34 @@ def delta_matrices(cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray]:
     Interior rows carry the centered 2k+1 stencil; rows within k of a wall
     use the maximally consistent one-sided stencil over the first (last)
     2k+1 grid points. Columns for the Dirichlet endpoints s_0 and s_{M+1}
-    are dropped.
+    are dropped. The weights depend only on a row's offsets within its
+    window, so 2k-1 weight sets serve all M rows: k-1 per wall and the
+    centered one.
     """
     M, k, h = cfg.M, cfg.k, cfg.h
-    d1 = np.zeros((M, M))
-    d2 = np.zeros((M, M))
-    t = M - 2 * k + 1  # left edge of the right-boundary window
-    for i in range(1, M + 1):
-        if i < k:
-            window = list(range(0, 2 * k + 1))
-        elif i <= M + 1 - k:
-            window = list(range(i - k, i + k + 1))
-        else:
-            window = list(range(t, t + 2 * k + 1))
-        w1 = fd_weights(1, window, i)
-        w2 = fd_weights(2, window, i)
-        for node, a1, a2 in zip(window, w1, w2):
-            if 1 <= node <= M:  # endpoint columns vanish by psi_0 = psi_{M+1} = 0
-                d1[i - 1, node - 1] += a1
-                d2[i - 1, node - 1] += a2
-    return d1 / h, d2 / h**2
+    # rows over the grid s_0 .. s_{M+1}; the endpoint columns are cut below
+    d1 = np.zeros((M, M + 2))
+    d2 = np.zeros((M, M + 2))
+    left = list(range(0, 2 * k + 1))
+    right = list(range(M + 1 - 2 * k, M + 2))
+    for r in range(1, k):  # row s_r at the left wall, s_{M+1-r} at the right
+        d1[r - 1, left] += fd_weights(1, left, r)
+        d2[r - 1, left] += fd_weights(2, left, r)
+        d1[M - r, right] += fd_weights(1, right, M + 1 - r)
+        d2[M - r, right] += fd_weights(2, right, M + 1 - r)
+    offsets = list(range(-k, k + 1))
+    rows = np.arange(k, M + 2 - k)  # centered rows s_k .. s_{M+1-k}
+    w1 = fd_weights(1, offsets, 0)
+    w2 = fd_weights(2, offsets, 0)
+    for c, o in enumerate(offsets):
+        d1[rows - 1, rows + o] += w1[c]
+        d2[rows - 1, rows + o] += w2[c]
+    return d1[:, 1:-1] / h, d2[:, 1:-1] / h**2
+
+
+def _mapped_nodes(cfg: HofdConfig, z: float) -> np.ndarray:
+    """Physical coordinates x = tan(pi s / 2) / zeta of the interior nodes."""
+    return np.tan(math.pi * cfg.s / 2.0) / z
 
 
 def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig, j: int) -> np.ndarray:
@@ -118,8 +135,7 @@ def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig, j: int) -> np.ndar
     sin_half = np.sin(math.pi * s / 2.0)
     a_diag = -(2.0 * z**2 / math.pi**2) * cos_half**4
     b_diag = (2.0 * z**2 / math.pi) * cos_half**3 * sin_half
-    x = np.tan(math.pi * s / 2.0) / z
-    c_diag = eval_hyperbolic(p, x)
+    c_diag = eval_hyperbolic(p, _mapped_nodes(cfg, z))
     d1, d2 = delta_matrices(cfg)
     return a_diag[:, None] * d2 + b_diag[:, None] * d1 + np.diag(c_diag)
 
@@ -131,19 +147,17 @@ def box_operator(p: TrigParams, cfg: HofdConfig) -> np.ndarray:
     return -d2 / (2.0 * p.a**2) + np.diag(v)
 
 
-def _near_real_sorted(w: np.ndarray) -> np.ndarray:
-    radius = np.abs(w).max() if w.size else 0.0
-    real = w[np.abs(w.imag) <= REALNESS_RTOL * max(radius, 1.0)].real
-    return np.sort(real)
-
-
 def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = None,
                   count: int = 3) -> SpectrumResult:
     """Lowest `count` eigenvalues via the finite-difference operator.
 
     For the hyperbolic family the operator is rebuilt per index j with the
-    retuned zeta(j) and the j-th smallest near-real eigenvalue is taken;
-    the finite well uses a single build.
+    retuned zeta(j) and the j-th smallest near-real eigenvalue is taken,
+    stopping at the first one at or above the asymptote (a continuum
+    artifact, as in DVR); the finite well uses a single build. The solve
+    is shifted to one below the minimum of the potential on the grid, left
+    of every eigenvalue. (The operator's diagonal is no such bound: it
+    carries the stencil's large diagonal too.)
     """
     cfg = cfg or HofdConfig()
     if count < 0:
@@ -153,31 +167,18 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
     if isinstance(p, HyperbolicParams):
         for j in range(1, count + 1):
             op = hyperbolic_operator(p, cfg, j)
-            w, v = linalg.eig_general(op)
-            real = _near_real_sorted(w)
-            if len(real) < j:
-                raise SolverError(
-                    f"only {len(real)} near-real eigenvalues for index {j}")
+            v = eval_hyperbolic(p, _mapped_nodes(cfg, zeta(j)))
+            real, resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, j)
             lam = float(real[j - 1])
-            max_resid = max(max_resid, _residual(op, w, v, lam))
+            if lam >= ASYMPTOTE:
+                break
+            max_resid = max(max_resid, resid)
             eigenvalues.append(lam)
     else:
         op = box_operator(p, cfg)
-        w, v = linalg.eig_general(op)
-        real = _near_real_sorted(w)
-        if len(real) < count:
-            raise SolverError(
-                f"only {len(real)} near-real eigenvalues, need {count}")
-        for lam in real[:count]:
-            max_resid = max(max_resid, _residual(op, w, v, float(lam)))
-        eigenvalues = [float(x) for x in real[:count]]
+        v = eval_trig(p, p.a * cfg.s)
+        real, max_resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, count)
+        eigenvalues = [float(x) for x in real]
     return SpectrumResult(method="HOFD", eigenvalues=tuple(eigenvalues),
                           config={"M": cfg.M, "k": cfg.k},
                           max_residual=max_resid)
-
-
-def _residual(op: np.ndarray, w: np.ndarray, v: np.ndarray, lam: float) -> float:
-    idx = int(np.argmin(np.abs(w - lam)))
-    vec = v[:, idx]
-    r = np.abs(op @ vec - w[idx] * vec).max()
-    return float(r / max(linalg.matrix_norm(op), 1.0))

@@ -140,23 +140,23 @@ def jacobi_q_oracle(n: int, jp: JacobiParams, y):
 
 
 def jacobi_q_derivative(n: int, jp: JacobiParams, y):
-    """dQ_n/dy via the three-term differential relation; requires y > 1."""
+    """dQ_n/dy by differentiating the forward recursion; requires y > 1.
+
+    Only the recursion steps that form Q_n are taken, so no Q_{n+1} is
+    formed: its recursion denominator vanishes at the admissible
+    mu + nu = -2n - 2.
+    """
     _check_degree(n, jp)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 1.0):
-        raise SingularPointError("derivative formula is singular at y = 1")
-    mu, nu = jp.mu, jp.nu
-    s = mu + nu
-    qn = _q_forward(n, mu, nu, y)
-    qm = _q_forward(n - 1, mu, nu, y) if n >= 1 else np.zeros_like(y)
-    # Q_{n+1} exists as a polynomial even when n = N; no window check needed
-    qp = _q_forward(n + 1, mu, nu, y)
-    t_same = (nu - mu) * n / ((2 * n + s) * (2 * n + s + 2)) if n >= 1 else 0.0
-    t_down = (n + mu) * (n + nu) / ((2 * n + s) * (2 * n + s + 1)) if n >= 1 else 0.0
-    t_up = n * (n + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
-    rhs = 2.0 * (n + s + 1) * (t_same * qn - t_down * qm + t_up * qp)
-    out = rhs / (y**2 - 1.0)
-    return out if out.ndim else float(out)
+        raise SingularPointError("derivative requested at the singular point y = 1")
+    q_prev, q = np.zeros_like(y), np.ones_like(y)
+    dq_prev, dq = np.zeros_like(y), np.zeros_like(y)
+    for k in range(n):
+        a, b, c = _recursion_terms(k, jp.mu, jp.nu)
+        q, q_prev, dq, dq_prev = (((y - a) * q - b * q_prev) / c, q,
+                                  (q + (y - a) * dq - b * dq_prev) / c, dq)
+    return dq if dq.ndim else float(dq)
 
 
 def jacobi_q_norm(n: int, jp: JacobiParams) -> float:

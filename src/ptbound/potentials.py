@@ -206,11 +206,11 @@ def positive_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[floa
             roots = [lam * r + shift for r in roots]
 
     coeffs = (c3, c2, c1, c0)
-    polished = sorted(_newton_polish(coeffs, r) for r in roots)
+    polished = [_newton_polish(coeffs, r) for r in roots]
     out: list[float] = []
-    for r in polished:
-        if r <= 0.0:
-            continue
+    # Newton started at a spurious double root (its pair went complex) can
+    # run off to inf or NaN, which is no root
+    for r in sorted([r for r in polished if 0.0 < r < math.inf]):
         if out and abs(r - out[-1]) <= ROOT_DEDUP_RTOL * max(abs(r), abs(out[-1])):
             continue
         out.append(r)

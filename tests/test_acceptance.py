@@ -73,7 +73,7 @@ def test_criterion_4_free_box():
     op = -d2 / 2.0  # V = 0, a = 1
     from ptbound import linalg
     w, _ = linalg.eig_general(op)
-    levels = hofd._near_real_sorted(w)[:5]
+    levels = linalg.near_real_sorted(w)[:5]
     worst = 0.0
     for n, e in enumerate(levels, start=1):
         exact = n**2 * math.pi**2 / 2.0

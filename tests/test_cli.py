@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ptbound import cli
+from ptbound import cli, dvr
 
 
 def run(capsys, *argv):
@@ -41,6 +41,32 @@ def test_spectrum_s1_both(capsys):
     expect = (-17.292792568552, -6.137201742096, -0.888027613576)
     for row, ref in zip(rows, expect):
         assert float(row[1]) == pytest.approx(ref, abs=1e-8)
+
+
+def test_spectrum_both_solves_dvr_once(capsys, monkeypatch):
+    calls = []
+    solve = dvr.hyperbolic_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dvr, "hyperbolic_spectrum", counted)
+    code, _, _ = run(capsys, "spectrum", *S1_FLAGS, "--method", "both",
+                     "--grid-M", "60")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_spectrum_hofd_stops_at_continuum(capsys):
+    # levels 4 and 5 of S1 would be E > 0 artifacts of the compactified grid
+    code, out, _ = run(capsys, "spectrum", *S1_FLAGS, "--method", "hofd",
+                       "--count", "5")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["n", "E_hofd"]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(float(row[1]) < 0.0 for row in rows)
 
 
 def test_spectrum_count_zero(capsys):

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ptbound import hofd
+from ptbound import hofd, linalg
 from ptbound.errors import ConfigError
 from ptbound.potentials import HyperbolicParams, TrigParams
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
+S2 = HyperbolicParams(V0=5.0, A=2.0, B=-60.0, kappa=1.0)
+SHALLOW = HyperbolicParams(V0=11.2128, A=2.41442, B=-12.5675, kappa=1.01828)
+WIDE = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=0.05)
+S3 = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.0)
 S4 = TrigParams(V0=5.0, C=-2.0, D=2.0, a=1.0)
 
 
@@ -114,5 +118,105 @@ def test_hofd_spectrum_s4_lowest():
 
 def test_near_real_filter():
     w = np.array([1.0 + 0j, 2.0 + 1e-3j, 3.0 + 1e-12j])
-    real = hofd._near_real_sorted(w)
+    real = linalg.near_real_sorted(w)
     assert np.allclose(real, [1.0, 3.0])
+
+
+def _delta_matrices_by_row(cfg):
+    """Reference build: one pair of weight solves per row."""
+    M, k, h = cfg.M, cfg.k, cfg.h
+    d1 = np.zeros((M, M))
+    d2 = np.zeros((M, M))
+    t = M - 2 * k + 1
+    for i in range(1, M + 1):
+        if i < k:
+            window = list(range(0, 2 * k + 1))
+        elif i <= M + 1 - k:
+            window = list(range(i - k, i + k + 1))
+        else:
+            window = list(range(t, t + 2 * k + 1))
+        w1 = hofd.fd_weights(1, window, i)
+        w2 = hofd.fd_weights(2, window, i)
+        for node, a1, a2 in zip(window, w1, w2):
+            if 1 <= node <= M:
+                d1[i - 1, node - 1] += a1
+                d2[i - 1, node - 1] += a2
+    return d1 / h, d2 / h**2
+
+
+@pytest.mark.parametrize("M,k", [(9, 2), (10, 4), (12, 1), (40, 3), (60, 4),
+                                 (500, 4), (1000, 4)])
+def test_delta_matrices_match_row_by_row(M, k):
+    cfg = hofd.HofdConfig(M=M, k=k)
+    for got, ref in zip(hofd.delta_matrices(cfg), _delta_matrices_by_row(cfg)):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # bitwise, signed zeros included
+
+
+def _dense_levels(p, cfg, count):
+    """The j-th smallest near-real eigenvalue of the dense spectrum of the
+    zeta(j) operator, j = 1..count, up to the first continuum artifact."""
+    levels = []
+    for j in range(1, count + 1):
+        w, _ = linalg.eig_general(hofd.hyperbolic_operator(p, cfg, j))
+        lam = linalg.near_real_sorted(w)[j - 1]
+        if lam >= 0.0:
+            break
+        levels.append(lam)
+    return levels
+
+
+def _assert_matches_dense(p, M, count):
+    cfg = hofd.HofdConfig(M=M)
+    got = hofd.hofd_spectrum(p, cfg, count=count).eigenvalues
+    ref = _dense_levels(p, cfg, count)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
+
+
+@pytest.mark.parametrize("M", [60, 250, 500])
+@pytest.mark.parametrize("p", [S1, S2, SHALLOW, WIDE],
+                         ids=["S1", "S2", "shallow", "kappa0.05"])
+def test_hyperbolic_levels_match_dense_eig(p, M):
+    _assert_matches_dense(p, M, count=10)
+
+
+def test_hyperbolic_levels_match_dense_eig_random_sets():
+    rng = np.random.default_rng(20261018)
+    for _ in range(30):
+        p = HyperbolicParams(V0=float(rng.uniform(1.0, 20.0)),
+                             A=float(rng.uniform(-40.0, 10.0)),
+                             B=float(rng.uniform(-80.0, -5.0)),
+                             kappa=float(rng.uniform(0.5, 2.0)))
+        _assert_matches_dense(p, M=120, count=4)
+
+
+@pytest.mark.parametrize("M", [500, 1000])
+@pytest.mark.parametrize("p", [S3, S4], ids=["S3", "S4"])
+def test_finite_well_levels_match_dense_eig(p, M):
+    # the operator's own conditioning limits agreement to about 1e-6
+    cfg = hofd.HofdConfig(M=M)
+    got = hofd.hofd_spectrum(p, cfg, count=10).eigenvalues
+    w, _ = linalg.eig_general(hofd.box_operator(p, cfg))
+    ref = linalg.near_real_sorted(w)[:10]
+    assert len(got) == 10
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 2e-6 * abs(r)
+
+
+@pytest.mark.parametrize("p", [S1, S3], ids=["S1", "S3"])
+def test_shift_below_spectrum(p, monkeypatch):
+    # eig_shift_invert's contract: no eigenvalue left of the shift
+    solve = linalg.eig_shift_invert
+    shifts = []
+
+    def recorded(a, sigma, count):
+        w, _ = linalg.eig_general(a)
+        shifts.append((sigma, w.real.min()))
+        return solve(a, sigma, count)
+
+    monkeypatch.setattr(linalg, "eig_shift_invert", recorded)
+    hofd.hofd_spectrum(p, hofd.HofdConfig(M=60), count=3)
+    assert shifts
+    assert all(sigma < lowest for sigma, lowest in shifts)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptbound import linalg
-from ptbound.errors import NonSymmetricError, SingularMatrixError
+from ptbound.errors import NonSymmetricError, SingularMatrixError, SolverError
 
 
 def test_eig_symmetric_identity():
@@ -87,3 +87,52 @@ def test_solve_linear_singular():
 def test_matrix_norm():
     a = np.array([[1.0, -2.0], [3.0, 4.0]])
     assert linalg.matrix_norm(a) == 7.0
+
+
+def _similar_to_diagonal(values, seed):
+    rng = np.random.default_rng(seed)
+    s = np.eye(len(values)) + 0.3 * rng.normal(size=(len(values), len(values)))
+    return s @ np.diag(values) @ np.linalg.inv(s)
+
+
+def test_eig_shift_invert_nonsymmetric():
+    values = np.linspace(1.0, 50.0, 60)
+    a = _similar_to_diagonal(values, 3)
+    got, resid = linalg.eig_shift_invert(a, 0.0, 5)
+    assert np.abs(got - values[:5]).max() <= 1e-10
+    assert 0.0 <= resid <= linalg.RESIDUAL_RTOL
+
+
+def test_eig_shift_invert_skips_complex_pairs():
+    # a rotation block puts 0.5 +- 2i nearest the shift; it is not near-real
+    a = np.zeros((30, 30))
+    a[:2, :2] = [[0.5, -2.0], [2.0, 0.5]]
+    a[2:, 2:] = np.diag(np.arange(3.0, 31.0))
+    got, _ = linalg.eig_shift_invert(a, 0.0, 3)
+    assert np.allclose(got, [3.0, 4.0, 5.0], rtol=0.0, atol=1e-12)
+
+
+def test_eig_shift_invert_repeated_eigenvalues():
+    # one start vector sees one direction per distinct eigenvalue, so the
+    # basis becomes invariant early and the solver must restart
+    a = np.diag([1.0, 1.0, 1.0, 2.0, 5.0])
+    got, _ = linalg.eig_shift_invert(a, 0.0, 4)
+    assert np.allclose(got, [1.0, 1.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
+
+
+def test_eig_shift_invert_too_few_real():
+    a = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(SolverError):
+        linalg.eig_shift_invert(a, -2.0, 1)
+
+
+def test_eig_shift_invert_residual_contract(monkeypatch):
+    a = _similar_to_diagonal(np.arange(1.0, 41.0), 4)
+    monkeypatch.setattr(linalg, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolverError):
+        linalg.eig_shift_invert(a, 0.0, 2)
+
+
+def test_eig_shift_invert_count_zero():
+    got, resid = linalg.eig_shift_invert(np.eye(3), 0.0, 0)
+    assert got.shape == (0,) and resid == 0.0

@@ -103,6 +103,16 @@ def test_derivative_low_degrees():
                                                                  rel=1e-11)
 
 
+def test_derivative_at_recursion_pole():
+    # Q_{n+1}'s recursion denominator vanishes at mu + nu = -2n - 2
+    assert op.jacobi_q_derivative(0, op.JacobiParams(mu=0.0, nu=-2.0, N=0),
+                                  2.0) == 0.0
+    jp = op.JacobiParams(mu=0.5, nu=-4.5, N=1)
+    y, h = 3.0, 1e-5
+    fd = (op.jacobi_q(1, jp, y + h) - op.jacobi_q(1, jp, y - h)) / (2 * h)
+    assert op.jacobi_q_derivative(1, jp, y) == pytest.approx(fd, rel=1e-8)
+
+
 def test_derivative_singular_at_one():
     jp = op.JacobiParams(mu=0.4, nu=-7.0, N=2)
     with pytest.raises(SingularPointError):

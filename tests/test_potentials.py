@@ -109,6 +109,15 @@ def test_positive_real_roots_cases():
     assert len(positive_real_roots(*critical_cubic(S1))) == 1
 
 
+def test_positive_real_roots_near_double_root():
+    # the closed form sees a double root at 0 whose pair is complex; Newton
+    # from there runs off to NaN, which must not be reported as a root
+    assert positive_real_roots(1.0, 1.0, 1.776015632033046e-238,
+                               1.5554858616727102e-21) == []
+    assert positive_real_roots(1.0, 1.0, 4.645334400100871e-268,
+                               7.763637517537695e-30) == []
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50),
        st.floats(-50, 50))
