@@ -31,7 +31,7 @@ def main():
 
     for m, e in enumerate(energies):
         sol = tra.assemble_solution(family, p, e)
-        _, psi = tra.eval_wavefunction(sol, p, x, normalize=True)
+        _, psi = tra.eval_wavefunction(sol, p, x)
         nodes = tra.count_nodes(psi)
         print(f"state {m}: E={e:.10g}  mu={sol.basis.mu:.6f} "
               f"nu={sol.basis.nu:.6f}  N={sol.basis.N_m}  "

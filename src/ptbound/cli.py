@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import dvr, hofd, orthopoly, reference, tra
-from .errors import PtboundError
+from .errors import PtboundError, SolverError
 from .hofd import HofdConfig
 from .potentials import HyperbolicParams, TrigParams, spd_grid
 
@@ -28,6 +28,8 @@ EXIT_COMPUTE = 3
 
 # significant digits per family, matching the published precision
 DIGITS = {"hyperbolic": 12, "trig": 6}
+# finite-well levels listed without --count
+TRIG_LEVELS = 10
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -66,14 +68,6 @@ def _coerce(v: str):
             return v
 
 
-def _hyperbolic_params(args) -> HyperbolicParams:
-    return HyperbolicParams(V0=args.V0, A=args.A, B=args.B, kappa=args.kappa)
-
-
-def _trig_params(args) -> TrigParams:
-    return TrigParams(V0=args.V0, C=args.C, D=args.D, a=args.a)
-
-
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=["hyperbolic", "trig"])
     p.add_argument("--V0", type=float, required=True)
@@ -95,40 +89,41 @@ def _params_from_args(args, parser):
         missing = [n for n in ("A", "B") if getattr(args, n) is None]
         if missing:
             parser.error(f"hyperbolic family requires --{' --'.join(missing)}")
-        return _hyperbolic_params(args)
+        return HyperbolicParams(V0=args.V0, A=args.A, B=args.B, kappa=args.kappa)
     missing = [n for n in ("C", "D", "a") if getattr(args, n) is None]
     if missing:
         parser.error(f"trig family requires --{' --'.join(missing)}")
-    return _trig_params(args)
+    return TrigParams(V0=args.V0, C=args.C, D=args.D, a=args.a)
+
+
+def _dvr(p, count: int | None, M: int | None = None,
+         b: float = dvr.DEFAULT_B) -> dvr.SpectrumResult:
+    """DVR levels on M nodes (the family's default if None). A count of None
+    keeps every bound level of the hyperbolic family and the lowest
+    TRIG_LEVELS of the finite well."""
+    if isinstance(p, HyperbolicParams):
+        return dvr.hyperbolic_spectrum(p, M=M or dvr.DEFAULT_M_HYPERBOLIC,
+                                       b=b, count=count)
+    return dvr.trig_spectrum(p, M=M or dvr.DEFAULT_M_TRIG,
+                             count=TRIG_LEVELS if count is None else count)
 
 
 def _spectra(args, p):
     """Run the requested solver(s); returns {method_name: SpectrumResult}."""
     results = {}
-    if args.family == "hyperbolic":
+    if args.method in ("dvr", "both"):
+        results["DVR"] = _dvr(p, args.count, args.grid_M, args.box_b)
+    if args.method in ("hofd", "both"):
         count = args.count
-        if args.method in ("dvr", "both"):
-            m = args.grid_M or dvr.DEFAULT_M_HYPERBOLIC
-            results["DVR"] = dvr.hyperbolic_spectrum(
-                p, M=m, b=args.box_b, count=count)
-        if args.method in ("hofd", "both"):
-            n_levels = count
-            if n_levels is None:
-                levels = (results["DVR"] if "DVR" in results
-                          else dvr.hyperbolic_spectrum(p, b=args.box_b))
-                n_levels = len(levels.eigenvalues)
-            cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M,
-                             k=args.stencil_k)
-            results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=n_levels)
-    else:
-        count = args.count if args.count is not None else 10
-        if args.method in ("dvr", "both"):
-            m = args.grid_M or dvr.DEFAULT_M_TRIG
-            results["DVR"] = dvr.trig_spectrum(p, M=m, count=count)
-        if args.method in ("hofd", "both"):
-            cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M,
-                             k=args.stencil_k)
-            results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=count)
+        if count is None and isinstance(p, TrigParams):
+            count = TRIG_LEVELS
+        elif count is None:
+            # as many levels as DVR finds; DVR alone runs on its default grid,
+            # since --grid-M sizes the HOFD grid here
+            count = len((results.get("DVR")
+                         or _dvr(p, None, b=args.box_b)).eigenvalues)
+        cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M, k=args.stencil_k)
+        results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=count)
     return results
 
 
@@ -137,7 +132,14 @@ def cmd_spectrum(args, parser) -> int:
     results = _spectra(args, p)
     digits = DIGITS[args.family]
     methods = list(results)
-    n_rows = min((len(r.eigenvalues) for r in results.values()), default=0)
+    found = {m: len(r.eigenvalues) for m, r in results.items()}
+    if len(set(found.values())) > 1:
+        raise SolverError("the solvers found different level counts: "
+                          + ", ".join(f"{m} {n}" for m, n in found.items()))
+    n_rows = found[methods[0]]
+    if n_rows == 0 and args.count != 0:
+        raise SolverError("no bound level found (a wide well may need a "
+                          "larger --box-b)")
     columns = ["n"] + [f"E_{m.lower()}" for m in methods]
     rows = [[str(n)] + [_fmt(results[m].eigenvalues[n], digits) for m in methods]
             for n in range(n_rows)]
@@ -160,21 +162,14 @@ def _param_echo(p) -> str:
 
 def cmd_wavefunction(args, parser) -> int:
     p = _params_from_args(args, parser)
-    family = (tra.Family.HYPERBOLIC if args.family == "hyperbolic"
-              else tra.Family.TRIGONOMETRIC)
-    if args.family == "hyperbolic":
-        spec = dvr.hyperbolic_spectrum(p, M=args.grid_M or dvr.DEFAULT_M_HYPERBOLIC,
-                                       b=args.box_b)
-        x_max = args.box_b
-        abscissa = "kappa*x"
-        scale = p.kappa
+    if isinstance(p, HyperbolicParams):
+        # every bound level: --count sizes only the finite well's list
+        family, count, x_max, abscissa, scale = (
+            tra.Family.HYPERBOLIC, None, args.box_b, "kappa*x", p.kappa)
     else:
-        spec = dvr.trig_spectrum(p, M=args.grid_M or dvr.DEFAULT_M_TRIG,
-                                 count=args.count if args.count is not None else 10)
-        x_max = p.a
-        abscissa = "x/a"
-        scale = 1.0 / p.a
-    bound = spec.eigenvalues
+        family, count, x_max, abscissa, scale = (
+            tra.Family.TRIGONOMETRIC, args.count, p.a, "x/a", 1.0 / p.a)
+    bound = _dvr(p, count, args.grid_M, args.box_b).eigenvalues
     states = args.states
     bad = [m for m in states if m < 0 or m >= len(bound)]
     if bad:
@@ -184,14 +179,10 @@ def cmd_wavefunction(args, parser) -> int:
 
     x = np.linspace(0.0, x_max, args.samples + 2)[1:-1]  # endpoints excluded
     solutions = {m: tra.assemble_solution(family, p, bound[m]) for m in states}
+    psi = {m: tra.eval_wavefunction(sol, p, x)[1] for m, sol in solutions.items()}
     digits = DIGITS[args.family]
     columns = [abscissa] + [f"psi_{m}" for m in states]
-    psi_cols = {}
-    for m, sol in solutions.items():
-        _, psi = tra.eval_wavefunction(sol, p, x)
-        psi_cols[m] = psi
-    rows = [[_fmt(scale * xi, digits)]
-            + [_fmt(psi_cols[m][i], digits) for m in states]
+    rows = [[_fmt(scale * xi, digits)] + [_fmt(psi[m][i], digits) for m in states]
             for i, xi in enumerate(x)]
     manifest = {"command": "wavefunction", "family": args.family,
                 "params": _param_echo(p),
@@ -221,34 +212,21 @@ def cmd_spd(args, parser) -> int:
     return EXIT_OK
 
 
-def _verify_table1(report: list) -> bool:
+def _verify_tables(which: str, report: list) -> bool:
     ok = True
-    for name, p in reference.HYPERBOLIC_SETS.items():
-        got_dvr = dvr.hyperbolic_spectrum(p).eigenvalues
-        got_hofd = hofd.hofd_spectrum(p, count=3).eigenvalues
-        for method, got in (("DVR", got_dvr), ("HOFD", got_hofd)):
-            exp = reference.HYPERBOLIC_REFERENCE[name][method]
-            for n, (g, e) in enumerate(zip(got, exp)):
-                tol = 1e-6 if (method == "DVR" and n == 2) else \
-                    1e-7 if method == "HOFD" else 1e-8
-                passed = abs(g - e) <= tol
-                ok &= passed
-                report.append((f"table1 {name} {method} n={n}", g, e, tol, passed))
-    return ok
-
-
-def _verify_table2(report: list) -> bool:
-    ok = True
-    for name, p in reference.TRIG_SETS.items():
-        got_dvr = dvr.trig_spectrum(p).eigenvalues
-        got_hofd = hofd.hofd_spectrum(p, count=10).eigenvalues
-        for method, got in (("DVR", got_dvr), ("HOFD", got_hofd)):
-            exp = reference.TRIG_REFERENCE[name][method]
-            for n, (g, e) in enumerate(zip(got, exp)):
-                tol = 1e-4 if n <= 4 else 1e-3
-                passed = abs(g - e) <= tol
-                ok &= passed
-                report.append((f"table2 {name} {method} n={n}", g, e, tol, passed))
+    for table, (sets, spectra) in reference.TABLES.items():
+        if which not in (table, "all"):
+            continue
+        for name, p in sets.items():
+            for method, exp in spectra[name].items():
+                got = (_dvr(p, len(exp)) if method == "DVR"
+                       else hofd.hofd_spectrum(p, count=len(exp))).eigenvalues
+                for n, (g, e) in enumerate(zip(got, exp)):
+                    tol = reference.tolerance(table, method, n)
+                    passed = abs(g - e) <= tol
+                    ok &= passed
+                    report.append((f"{table} {name} {method} n={n}", g, e,
+                                   tol, passed))
     return ok
 
 
@@ -276,11 +254,7 @@ def _verify_polys(report: list) -> bool:
 
 def cmd_verify(args, parser) -> int:
     report: list = []
-    ok = True
-    if args.which in ("table1", "all"):
-        ok &= _verify_table1(report)
-    if args.which in ("table2", "all"):
-        ok &= _verify_table2(report)
+    ok = _verify_tables(args.which, report)
     if args.which in ("polys", "all"):
         ok &= _verify_polys(report)
     for name, got, exp, tol, passed in report:

@@ -10,7 +10,7 @@ the grid away from the singular endpoints automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,40 +31,17 @@ DEFAULT_M_TRIG = 300
 
 
 @dataclass(frozen=True)
-class DvrConfig:
-    """Grid configuration; interior points number M - 1."""
-
-    M: int
-    b: float | None = None  # box length, semi-infinite problems
-    a: float | None = None  # interval length, finite problems
-
-    def __post_init__(self):
-        if self.M < 3:
-            raise ConfigError(f"M must be >= 3, got {self.M}")
-        if self.b is not None and self.b <= 0:
-            raise ConfigError("b must be positive")
-        if self.a is not None and self.a <= 0:
-            raise ConfigError("a must be positive")
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Sorted eigenvalues with the configuration that produced them."""
 
-    method: str  # "DVR" or "HOFD"
     eigenvalues: tuple[float, ...]
     config: dict = field(default_factory=dict)
     max_residual: float = 0.0
 
 
-def grid_semiinfinite(M: int, b: float) -> np.ndarray:
-    """Interior nodes x_i = i*b/M, i = 1..M-1."""
-    return np.arange(1, M) * (b / M)
-
-
-def grid_box(M: int, a: float) -> np.ndarray:
-    """Interior nodes x_i = i*a/M, i = 1..M-1."""
-    return np.arange(1, M) * (a / M)
+def grid(M: int, length: float) -> np.ndarray:
+    """Interior nodes x_i = i*length/M, i = 1..M-1."""
+    return np.arange(1, M) * (length / M)
 
 
 def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
@@ -111,19 +88,15 @@ def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarra
     return h
 
 
-def solve_spectrum(h: np.ndarray, count: int, method: str = "DVR",
+def solve_spectrum(h: np.ndarray, count: int,
                    config: dict | None = None) -> SpectrumResult:
-    """The `count` lowest eigenvalues of a symmetric Hamiltonian, ascending."""
-    w, v = linalg.eig_symmetric(h)
+    """The `count` lowest eigenvalues of a symmetric Hamiltonian, ascending,
+    with the largest eigen-residual among them."""
+    w, _, resid = linalg.eig_symmetric(h)
     count = min(count, len(w))
-    lowest = w[:count]
-    vecs = v[:, :count]
-    if count:
-        resid = np.abs(h @ vecs - vecs * lowest).max()
-    else:
-        resid = 0.0
-    return SpectrumResult(method=method, eigenvalues=tuple(float(x) for x in lowest),
-                          config=dict(config or {}), max_residual=float(resid))
+    return SpectrumResult(eigenvalues=tuple(float(x) for x in w[:count]),
+                          config=dict(config or {}),
+                          max_residual=float(resid[:count].max(initial=0.0)))
 
 
 def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
@@ -133,19 +106,16 @@ def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
     Eigenvalues at or above the x -> infinity asymptote (zero) are
     discretized-continuum artifacts of the finite box and are dropped.
     """
-    x = grid_semiinfinite(M, b)
+    x = grid(M, b)
     h = hamiltonian(kinetic_semiinfinite(M, b), eval_hyperbolic(p, x))
     res = solve_spectrum(h, M - 1, config={"M": M, "b": b})
-    bound = [e for e in res.eigenvalues if e < ASYMPTOTE]
-    if count is not None:
-        bound = bound[:count]
-    return SpectrumResult(method="DVR", eigenvalues=tuple(bound),
-                          config=res.config, max_residual=res.max_residual)
+    bound = tuple(e for e in res.eigenvalues if e < ASYMPTOTE)
+    return replace(res, eigenvalues=bound[:count])
 
 
 def trig_spectrum(p: TrigParams, M: int = DEFAULT_M_TRIG, count: int = 10,
                   reflected: bool = False) -> SpectrumResult:
     """Lowest `count` eigenvalues of the trigonometric potential well."""
-    x = grid_box(M, p.a)
+    x = grid(M, p.a)
     h = hamiltonian(kinetic_box(M, p.a), eval_trig(p, x, reflected=reflected))
     return solve_spectrum(h, count, config={"M": M, "a": p.a})

@@ -179,6 +179,5 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
         v = eval_trig(p, p.a * cfg.s)
         real, max_resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, count)
         eigenvalues = [float(x) for x in real]
-    return SpectrumResult(method="HOFD", eigenvalues=tuple(eigenvalues),
-                          config={"M": cfg.M, "k": cfg.k},
-                          max_residual=max_resid)
+    return SpectrumResult(eigenvalues=tuple(eigenvalues),
+                          config={"M": cfg.M, "k": cfg.k}, max_residual=max_resid)

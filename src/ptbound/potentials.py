@@ -28,6 +28,8 @@ from .errors import DomainError
 # Double roots of the critical cubic sit on phase boundaries; collapse
 # them toward the fewer-roots phase.
 ROOT_DEDUP_RTOL = 1e-9
+# A root must leave a residual of at most this times max|c| * max(1, s)^3.
+ROOT_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,32 @@ def _newton_polish(coeffs, r, steps=40):
     return r
 
 
+def _confirmed(coeffs, r: float, scale: float) -> bool:
+    """|c3 r^3 + c2 r^2 + c1 r + c0| <= ROOT_RESIDUAL_RTOL * scale * max(1, r)^3."""
+    c3, c2, c1, c0 = coeffs
+    if r <= 1.0:
+        f = ((c3 * r + c2) * r + c1) * r + c0
+    else:  # the cubic over r^3, which cannot overflow
+        f = ((c0 / r + c1) / r + c2) / r + c3
+    return abs(f) <= ROOT_RESIDUAL_RTOL * scale
+
+
 def positive_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
     """All real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0, ascending.
 
     Closed-form discriminant classification with a Newton polish per root;
     degenerate leading coefficients fall back to the quadratic/linear case.
-    Roots closer than ROOT_DEDUP_RTOL (relative) are merged.
+    Roots closer than ROOT_DEDUP_RTOL (relative) are merged, and a polished
+    candidate the cubic does not confirm (see `_confirmed`) is dropped.
     """
     if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
         raise ValueError("all cubic coefficients are zero")
 
+    # Python floats: numpy scalars (spd_grid passes them) make every step slower
+    c3, c2, c1, c0 = cubic = (float(c3), float(c2), float(c1), float(c0))
     # a leading coefficient negligible against the others makes the closed
     # form overflow; treat it as the degenerate lower-order case
-    scale = max(abs(c) for c in (c3, c2, c1, c0))
+    scale = max(abs(c) for c in cubic)
     if abs(c3) <= 1e-13 * scale:
         c3 = 0.0
     if c3 == 0.0 and abs(c2) <= 1e-13 * scale:
@@ -209,8 +224,10 @@ def positive_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[floa
     polished = [_newton_polish(coeffs, r) for r in roots]
     out: list[float] = []
     # Newton started at a spurious double root (its pair went complex) can
-    # run off to inf or NaN, which is no root
-    for r in sorted([r for r in polished if 0.0 < r < math.inf]):
+    # run off to inf or NaN, and one started from a closed form that
+    # cancelled can stop far from any root
+    for r in sorted([r for r in polished
+                     if 0.0 < r < math.inf and _confirmed(cubic, r, scale)]):
         if out and abs(r - out[-1]) <= ROOT_DEDUP_RTOL * max(abs(r), abs(out[-1])):
             continue
         out.append(r)

@@ -1,4 +1,5 @@
-"""Reference parameter sets and published spectra used by the verify command.
+"""Reference parameter sets, published spectra and their tolerances, used
+by the verify command.
 
 The four shipped parameter sets exercise both potential families and both
 series branches. The reference eigenvalues are the published benchmark
@@ -44,3 +45,16 @@ TRIG_REFERENCE = {
                  353.140605, 455.013113, 568.813926, 694.419241, 831.725211),
     },
 }
+
+# verify's tables: name -> (parameter sets, reference spectra)
+TABLES = {
+    "table1": (HYPERBOLIC_SETS, HYPERBOLIC_REFERENCE),
+    "table2": (TRIG_SETS, TRIG_REFERENCE),
+}
+
+
+def tolerance(table: str, method: str, n: int) -> float:
+    """Allowed |computed - published| for level n of a table's method column."""
+    if table == "table1":
+        return 1e-7 if method == "HOFD" else 1e-6 if n == 2 else 1e-8
+    return 1e-4 if n <= 4 else 1e-3

@@ -4,7 +4,7 @@ energy to basis/series parameters and evaluates the finite wavefunction series.
 The energy spectrum itself always comes from the matrix solvers (dvr/hofd);
 this module only reconstructs the analytic form of each bound state. All
 wavefunctions are un-normalized (the series weight function has no known
-closed form); an optional post-hoc grid normalization is offered.
+closed form).
 """
 
 from __future__ import annotations
@@ -150,20 +150,15 @@ def series_params(family: Family, p) -> SeriesParams:
 
 
 def recursion_coefficients(family: Family, p, basis: TraBasisParams):
-    """Tridiagonal coefficients (g, c, d) of the coefficient recursion.
-
-    Returns lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1} plus a descriptor of
-    the node-less factor multiplying the whole relation.
-    """
+    """Tridiagonal coefficients (g, c, d) of the coefficient recursion:
+    lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1}."""
     mu, nu, n_m = basis.mu, basis.nu, basis.N_m
     if family is Family.HYPERBOLIC:
         scale2 = p.kappa**2
         shift = (p.V0 - 2.0 * p.A) / (4.0 * scale2)
-        w_descriptor = "(V0/4)(y-1)"
     else:
         scale2 = p.rho**2
         shift = -(p.V0 + 2.0 * p.C) / (4.0 * scale2)
-        w_descriptor = "(V0/4)(y+1)"
     g, c, d = [], [], []
     for n in range(n_m + 1):
         half = n + (mu + nu + 1.0) / 2.0
@@ -176,7 +171,7 @@ def recursion_coefficients(family: Family, p, basis: TraBasisParams):
                  / ((2 * n + s + 2) * (2 * n + s + 3)))
         d.append(2.0 * (n + 1) * (n + s + 1)
                  / ((2 * n + s + 1) * (2 * n + s + 2)))
-    return g, c, d, w_descriptor
+    return g, c, d
 
 
 def assemble_solution(family: Family, p, E_m: float) -> SeriesSolution:
@@ -198,13 +193,11 @@ def assemble_solution(family: Family, p, E_m: float) -> SeriesSolution:
                           coeffs=coeffs, family=family)
 
 
-def eval_wavefunction(sol: SeriesSolution, p, x_grid,
-                      normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def eval_wavefunction(sol: SeriesSolution, p, x_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sample the (un-normalized) wavefunction series on x_grid.
 
     Grid points on or outside the open domain are excluded with a warning.
-    Returns (kept_x, psi). With normalize=True the samples are rescaled to
-    unit discrete L2 norm over the kept grid.
+    Returns (kept_x, psi).
     """
     x = np.asarray(x_grid, dtype=float)
     if sol.family is Family.HYPERBOLIC:
@@ -231,12 +224,7 @@ def eval_wavefunction(sol: SeriesSolution, p, x_grid,
     series_sum = np.zeros_like(y)
     for n, f in enumerate(sol.coeffs):
         series_sum += f * _q_forward(n, mu, nu, y)
-    psi = prefactor * series_sum
-    if normalize:
-        norm = math.sqrt(float(np.sum(psi**2)))
-        if norm > 0.0:
-            psi = psi / norm
-    return x, psi
+    return x, prefactor * series_sum
 
 
 def count_nodes(psi: np.ndarray) -> int:

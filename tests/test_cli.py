@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -27,8 +28,13 @@ def parse_csv(text):
 
 S1_FLAGS = ["--family", "hyperbolic", "--V0", "10", "--A", "-20",
             "--B", "-30", "--kappa", "1"]
+S3_FLAGS = ["--family", "trig", "--V0", "5", "--C", "-10", "--D", "2",
+            "--a", "1"]
 S4_FLAGS = ["--family", "trig", "--V0", "5", "--C", "-2", "--D", "2",
             "--a", "1"]
+# S1's well stretched by 1/kappa = 20, beyond the default DVR box b = 10
+WIDE_FLAGS = ["--family", "hyperbolic", "--V0", "10", "--A", "-20",
+              "--B", "-30", "--kappa", "0.05"]
 
 
 def test_spectrum_s1_both(capsys):
@@ -76,6 +82,22 @@ def test_spectrum_count_zero(capsys):
     _, header, rows = parse_csv(out)
     assert header == ["n", "E_dvr"]
     assert rows == []
+
+
+def test_spectrum_level_count_mismatch(capsys):
+    # DVR's box holds none of the wide well's levels; HOFD finds three
+    code, out, err = run(capsys, "spectrum", *WIDE_FLAGS, "--method", "both",
+                         "--count", "3")
+    assert code == 3
+    assert out == ""
+    assert "DVR 0" in err and "HOFD 3" in err
+
+
+def test_spectrum_empty_table(capsys):
+    code, out, err = run(capsys, "spectrum", *WIDE_FLAGS, "--method", "dvr")
+    assert code == 3
+    assert out == ""
+    assert "no bound level" in err
 
 
 def test_spectrum_usage_error(capsys):
@@ -150,3 +172,27 @@ def test_verify_polys(capsys):
     code, out, _ = run(capsys, "verify", "polys")
     assert code == 0
     assert "ALL PASS" in out
+
+
+# sha256 of the header and data rows (manifest lines dropped): a new digest
+# means printed numbers changed. These rows print the same at one and two
+# BLAS threads; the 12-digit hyperbolic rows do not, so they are not pinned.
+PINNED_BODIES = {
+    "spd": (["spd", "--V0", "10", "--A-min", "-60", "--A-max", "40",
+             "--B-min", "-60", "--B-max", "40", "--resolution", "200"],
+            "c2d2259c30dca857f4618a78a7911a96c42763ff685b2d1e2fd8d93d7c1d9e34"),
+    "S3": (["spectrum", *S3_FLAGS, "--method", "both"],
+           "39e963cef2890995cba65fab0df2ab2cae1d11b9f676911d686fc83884ef8627"),
+    "S4": (["spectrum", *S4_FLAGS, "--method", "both"],
+           "07abb644b3ae255a2f5db027af3bf38d456e6351731912180cc7464d9e9fb184"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_output_body_pinned(capsys, name):
+    argv, digest = PINNED_BODIES[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    body = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("# "))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptbound import dvr
+from ptbound import dvr, linalg
 from ptbound.errors import ConfigError, DomainError
 from ptbound.potentials import HyperbolicParams, TrigParams, eval_hyperbolic
 
@@ -37,10 +37,6 @@ def test_kinetic_limit_consistency():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        dvr.DvrConfig(M=2)
-    with pytest.raises(ConfigError):
-        dvr.DvrConfig(M=10, b=-1.0)
-    with pytest.raises(ConfigError):
         dvr.kinetic_semiinfinite(2, 1.0)
 
 
@@ -60,6 +56,15 @@ def test_hamiltonian_assembly():
 def test_solve_spectrum_diagonal():
     res = dvr.solve_spectrum(np.diag([4.0, 1.0]), 2)
     assert res.eigenvalues == (1.0, 4.0)
+
+
+def test_solve_spectrum_residual_of_kept_pairs():
+    # the largest residual among the `count` kept pairs, not all pairs
+    h = dvr.hamiltonian(dvr.kinetic_box(40, 1.0), np.linspace(-5.0, 5.0, 39))
+    _, _, resid = linalg.eig_symmetric(h)
+    assert dvr.solve_spectrum(h, 0).max_residual == 0.0
+    for count in (1, 3, 39):
+        assert dvr.solve_spectrum(h, count).max_residual == resid[:count].max()
 
 
 def test_hyperbolic_spectrum_s1():

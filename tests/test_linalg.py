@@ -6,12 +6,12 @@ from ptbound.errors import NonSymmetricError, SingularMatrixError, SolverError
 
 
 def test_eig_symmetric_identity():
-    w, v = linalg.eig_symmetric(np.eye(5))
+    w, v, _ = linalg.eig_symmetric(np.eye(5))
     assert np.allclose(w, 1.0)
 
 
 def test_eig_symmetric_diagonal_sorted():
-    w, _ = linalg.eig_symmetric(np.diag([3.0, 1.0, 2.0]))
+    w, _, _ = linalg.eig_symmetric(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
@@ -19,12 +19,14 @@ def test_eig_symmetric_trace_and_det():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(50, 50))
     a = (a + a.T) / 2.0
-    w, v = linalg.eig_symmetric(a)
+    w, v, resid = linalg.eig_symmetric(a)
     assert abs(w.sum() - np.trace(a)) <= 1e-10 * max(abs(np.trace(a)), 1.0)
     det = np.linalg.det(a)
     assert abs(np.prod(w) - det) <= 1e-8 * max(abs(det), 1.0)
     # orthonormality contract
     assert np.abs(v.T @ v - np.eye(50)).max() <= 1e-10
+    # one residual per pair, as the contract measures it
+    assert np.array_equal(resid, np.abs(a @ v - v * w).max(axis=0))
 
 
 def test_eig_symmetric_rejects_nonsymmetric():
@@ -57,7 +59,7 @@ def test_eig_general_matches_symmetric():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(15, 15))
     a = (a + a.T) / 2.0
-    ws, _ = linalg.eig_symmetric(a)
+    ws, _, _ = linalg.eig_symmetric(a)
     wg, _ = linalg.eig_general(a)
     assert np.abs(np.sort(wg.real) - ws).max() <= 1e-8
 

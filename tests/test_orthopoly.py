@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -133,10 +133,13 @@ def test_derivative_matches_finite_difference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(admissible(), st.floats(1.5, 20.0))
+@example(case=(op.JacobiParams(mu=-0.5635259574721794, nu=-2.561474042527821,
+                               N=1), 1), y=17.0)
+@example(case=(op.JacobiParams(mu=0.0, nu=-3.05, N=1), 1), y=19.0)
 def test_differential_equation_residual(case, y):
     jp, n = case
     mu, nu = jp.mu, jp.nu
-    h = 1e-3
+    h = 1e-3 * y  # a step relative to y keeps the round-off below the bound
     f = np.array([op.jacobi_q(n, jp, y + m * h) for m in (-2, -1, 0, 1, 2)])
     qp = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
     qpp = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)

@@ -118,6 +118,17 @@ def test_positive_real_roots_near_double_root():
                                7.763637517537695e-30) == []
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1e-9, 3.0, 1.0, 1.0),
+    (2.571749488061649e-09, 1.0, 0.0, 2.0),
+    (3.263243941448208e-08, 7.0, 0.0, 1.0),
+])
+def test_positive_real_roots_unconfirmed_candidate(coeffs):
+    # a small c3 makes the closed form cancel; Newton from its candidates
+    # stops where the cubic is far from zero, and no positive root exists
+    assert positive_real_roots(*coeffs) == []
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50),
        st.floats(-50, 50))

@@ -116,7 +116,7 @@ def test_recursion_coefficients_favard():
                 basis = tra.hyperbolic_basis(p, e)
             else:
                 basis = tra.trig_basis(p, e)
-            g, c, d, w = tra.recursion_coefficients(family, p, basis)
+            g, c, d = tra.recursion_coefficients(family, p, basis)
             assert len(g) == basis.N_m + 1
             assert len(c) == len(d) == basis.N_m
             for cn, dn in zip(c, d):
@@ -125,7 +125,7 @@ def test_recursion_coefficients_favard():
 
 def test_recursion_coefficients_single_term():
     basis = tra.hyperbolic_basis(S1, E1[0])  # N = 0
-    g, c, d, _ = tra.recursion_coefficients(tra.Family.HYPERBOLIC, S1, basis)
+    g, c, d = tra.recursion_coefficients(tra.Family.HYPERBOLIC, S1, basis)
     assert len(g) == 1 and c == [] and d == []
 
 
@@ -152,7 +152,7 @@ def test_coefficients_satisfy_recursion():
             basis = tra.hyperbolic_basis(p, e)
         else:
             basis = tra.trig_basis(p, e)
-        g, c, d, _ = tra.recursion_coefficients(family, p, basis)
+        g, c, d = tra.recursion_coefficients(family, p, basis)
         f = sol.coeffs
         for n in range(basis.N_m):
             lhs = g[n] * f[n] + c[n] * f[n + 1]
