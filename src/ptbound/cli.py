@@ -163,13 +163,12 @@ def _param_echo(p) -> str:
 def cmd_wavefunction(args, parser) -> int:
     p = _params_from_args(args, parser)
     if isinstance(p, HyperbolicParams):
-        # every bound level: --count sizes only the finite well's list
-        family, count, x_max, abscissa, scale = (
-            tra.Family.HYPERBOLIC, None, args.box_b, "kappa*x", p.kappa)
+        family, x_max, abscissa, scale = (
+            tra.Family.HYPERBOLIC, args.box_b, "kappa*x", p.kappa)
     else:
-        family, count, x_max, abscissa, scale = (
-            tra.Family.TRIGONOMETRIC, args.count, p.a, "x/a", 1.0 / p.a)
-    bound = _dvr(p, count, args.grid_M, args.box_b).eigenvalues
+        family, x_max, abscissa, scale = (
+            tra.Family.TRIGONOMETRIC, p.a, "x/a", 1.0 / p.a)
+    bound = _dvr(p, args.count, args.grid_M, args.box_b).eigenvalues
     states = args.states
     bad = [m for m in states if m < 0 or m >= len(bound)]
     if bad:
@@ -202,8 +201,10 @@ def cmd_spd(args, parser) -> int:
         args.V0, args.kappa, (args.A_min, args.A_max),
         (args.B_min, args.B_max), args.resolution)
     columns = ["A", "B", "phase"]
-    rows = [[_fmt(a, 12), _fmt(b, 12), phases[i, j].value]
-            for i, b in enumerate(b_vals) for j, a in enumerate(a_vals)]
+    a_text = [_fmt(a, 12) for a in a_vals]
+    b_text = [_fmt(b, 12) for b in b_vals]
+    rows = [[a, b, phase.value]
+            for b, row in zip(b_text, phases) for a, phase in zip(a_text, row)]
     manifest = {"command": "spd", "V0": args.V0, "kappa": args.kappa,
                 "rectangle_B_max": rect["B_max"], "rectangle_A_max": rect["A_max"],
                 "units": "atomic (hbar = m = 1)",

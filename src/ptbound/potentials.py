@@ -121,130 +121,169 @@ def critical_cubic(p: HyperbolicParams) -> tuple[float, float, float, float]:
     return (p.A + p.B, 2.0 * (p.V0 + p.A), 4.0 * p.V0 + p.A, 2.0 * p.V0)
 
 
-def _newton_polish(coeffs, r, steps=40):
-    c3, c2, c1, c0 = coeffs
+def _newton_polish(cubic, r, steps=40):
+    """Newton steps from every finite candidate r[i, j] toward a root of the
+    cubic with coefficients cubic[:, i]. Each candidate stops on its own rule,
+    and only the unfinished ones are stepped."""
+    r = r.copy()
+    flat = r.reshape(-1)
+    active = np.flatnonzero(np.isfinite(flat))
+    c3, c2, c1, c0 = np.repeat(cubic, r.shape[1], axis=1)[:, active]
+    x = flat[active]
     for _ in range(steps):
-        f = ((c3 * r + c2) * r + c1) * r + c0
-        df = (3.0 * c3 * r + 2.0 * c2) * r + c1
-        if df == 0.0 or f == 0.0:
+        if not active.size:
             break
-        step = f / df
-        r -= step
-        if abs(step) <= 1e-15 * max(abs(r), 1.0):
-            break
+        f = ((c3 * x + c2) * x + c1) * x + c0
+        df = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        go = np.flatnonzero((df != 0.0) & (f != 0.0))
+        step = f[go] / df[go]
+        x = x[go] - step
+        flat[active[go]] = x
+        # a non-finite iterate stays non-finite, and is dropped later
+        more = np.abs(step) > 1e-15 * np.maximum(np.abs(x), 1.0)
+        keep = go[more]
+        active, x = active[keep], x[more]
+        c3, c2, c1, c0 = c3[keep], c2[keep], c1[keep], c0[keep]
     return r
 
 
-def _confirmed(coeffs, r: float, scale: float) -> bool:
-    """|c3 r^3 + c2 r^2 + c1 r + c0| <= ROOT_RESIDUAL_RTOL * scale * max(1, r)^3."""
-    c3, c2, c1, c0 = coeffs
-    if r <= 1.0:
-        f = ((c3 * r + c2) * r + c1) * r + c0
-    else:  # the cubic over r^3, which cannot overflow
-        f = ((c0 / r + c1) / r + c2) / r + c3
-    return abs(f) <= ROOT_RESIDUAL_RTOL * scale
+def _quadratic_roots(a, b, c):
+    """Both real roots of a s^2 + b s + c (a != 0) in the cancellation-free
+    form, as an (n, 2) array; NaN where they are complex."""
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), np.where(b != 0.0, b, 1.0)))
+    return np.stack([c / q, q / a], axis=1)
+
+
+def _dominant_root(c3, c2, c1, c0):
+    """The closed-form real root of largest magnitude of each cubic with
+    c3 != 0 (the simple one beside a double root), and the mask of triple
+    roots, which are not deflated."""
+    # depressed cubic t^3 + pt + q with s = t - c2/(3 c3); rescale t by
+    # lam so the classification cannot under/overflow for extreme inputs
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    pp = c - b * b / 3.0
+    qq = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    shift = -b / 3.0
+    lam = np.maximum(np.sqrt(np.abs(pp)), np.abs(qq) ** (1.0 / 3.0))
+    pp /= lam * lam
+    qq /= lam**3
+    disc = -4.0 * pp**3 - 27.0 * qq * qq
+    # three distinct real roots (trigonometric form)
+    m = 2.0 * np.sqrt(-pp / 3.0)
+    phi = np.arccos(np.clip(3.0 * qq / (pp * m), -1.0, 1.0))
+    trig = m[:, None] * np.cos((phi[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0)
+    # the simple root beside a double root, else the one real root (Cardano)
+    half_q = -qq / 2.0
+    rad = np.sqrt(qq * qq / 4.0 + pp**3 / 27.0)
+    u = np.copysign(np.abs(half_q + rad) ** (1.0 / 3.0), half_q + rad)
+    v = np.copysign(np.abs(half_q - rad) ** (1.0 / 3.0), half_q - rad)
+    one = np.where(disc == 0.0, 3.0 * qq / pp, u + v)
+    t = np.where((disc > 0.0)[:, None], trig, one[:, None])
+    s = lam[:, None] * t + shift[:, None]
+    flat = lam == 0.0
+    s[flat] = shift[flat, None]
+    return np.take_along_axis(s, np.abs(s).argmax(axis=1)[:, None], 1)[:, 0], flat
+
+
+def _real_roots(c3, c2, c1, c0):
+    """Real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0 for each element of the
+    1-D coefficient arrays: an (n, 3) array, ascending per row, NaN-padded.
+
+    The closed form (discriminant classification of the depressed cubic)
+    gives the root of largest magnitude; the other two are the roots of the
+    quadratic left after deflating by it, since for small c3 the closed form
+    cancels and can report one root where there are three. Every candidate
+    gets a Newton polish on the cubic. Degenerate leading coefficients fall
+    back to the quadratic/linear case.
+    Roots closer than ROOT_DEDUP_RTOL (relative) are merged, and a polished
+    candidate the cubic does not confirm is dropped: its residual must be at
+    most ROOT_RESIDUAL_RTOL * max|c| * max(1, s)^3.
+    """
+    cubic = np.array(np.broadcast_arrays(c3, c2, c1, c0), dtype=float).reshape(4, -1)
+    scale = np.abs(cubic).max(axis=0)
+    if not scale.all():
+        raise ValueError("all cubic coefficients are zero")
+    # a leading coefficient negligible against the others makes the closed
+    # form overflow; treat it as the degenerate lower-order case
+    cut = cubic.copy()
+    c3, c2, c1, c0 = cut
+    c3[np.abs(c3) <= 1e-13 * scale] = 0.0
+    c2[(c3 == 0.0) & (np.abs(c2) <= 1e-13 * scale)] = 0.0
+    c1[(c3 == 0.0) & (c2 == 0.0) & (np.abs(c1) <= 1e-13 * scale)] = 0.0
+
+    r = np.full((len(scale), 3), np.nan)
+    with np.errstate(all="ignore"):
+        lin = (c3 == 0.0) & (c2 == 0.0) & (c1 != 0.0)
+        r[lin, 0] = -c0[lin] / c1[lin]
+        quad = (c3 == 0.0) & (c2 != 0.0)
+        r[quad, :2] = _quadratic_roots(c2[quad], c1[quad], c0[quad])
+        cub = np.flatnonzero(c3 != 0.0)
+        r[cub, 0], flat = _dominant_root(c3[cub], c2[cub], c1[cub], c0[cub])
+        r = _newton_polish(cut, r)
+        # the other two roots: backward deflation by the polished dominant
+        # root is stable, and their quadratic cannot cancel as the closed
+        # form does for small c3
+        rows = cub[~flat]
+        r1 = r[rows, 0]
+        b0 = -c0[rows] / r1
+        b1 = (b0 - c1[rows]) / r1
+        r[rows, 1:] = _newton_polish(cut[:, rows],
+                                     _quadratic_roots(c3[rows], b1, b0))
+
+        # Newton started at a spurious double root (its pair went complex)
+        # can run off to inf or NaN, and one started from a closed form that
+        # cancelled can stop far from any root
+        o3, o2, o1, o0 = cubic[:, :, None]
+        resid = np.where(r <= 1.0, ((o3 * r + o2) * r + o1) * r + o0,
+                         ((o0 / r + o1) / r + o2) / r + o3)  # no overflow
+        ok = (r > 0.0) & (r < np.inf) & (
+            np.abs(resid) <= ROOT_RESIDUAL_RTOL * scale[:, None])
+    r = np.sort(np.where(ok, r, np.nan), axis=1)
+    last = r[:, 0]
+    for j in (1, 2):
+        dup = (np.abs(r[:, j] - last)
+               <= ROOT_DEDUP_RTOL * np.maximum(np.abs(r[:, j]), np.abs(last)))
+        r[dup, j] = np.nan
+        last = np.where(np.isnan(r[:, j]), last, r[:, j])
+    return np.sort(r, axis=1)
 
 
 def positive_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0, ascending.
-
-    Closed-form discriminant classification with a Newton polish per root;
-    degenerate leading coefficients fall back to the quadratic/linear case.
-    Roots closer than ROOT_DEDUP_RTOL (relative) are merged, and a polished
-    candidate the cubic does not confirm (see `_confirmed`) is dropped.
-    """
-    if c3 == 0.0 and c2 == 0.0 and c1 == 0.0 and c0 == 0.0:
-        raise ValueError("all cubic coefficients are zero")
-
-    # Python floats: numpy scalars (spd_grid passes them) make every step slower
-    c3, c2, c1, c0 = cubic = (float(c3), float(c2), float(c1), float(c0))
-    # a leading coefficient negligible against the others makes the closed
-    # form overflow; treat it as the degenerate lower-order case
-    scale = max(abs(c) for c in cubic)
-    if abs(c3) <= 1e-13 * scale:
-        c3 = 0.0
-    if c3 == 0.0 and abs(c2) <= 1e-13 * scale:
-        c2 = 0.0
-    if c3 == 0.0 and c2 == 0.0 and abs(c1) <= 1e-13 * scale:
-        c1 = 0.0
-
-    if c3 == 0.0:
-        if c2 == 0.0:
-            roots = [] if c1 == 0.0 else [-c0 / c1]
-        else:
-            disc = c1 * c1 - 4.0 * c2 * c0
-            if disc < 0.0:
-                roots = []
-            else:
-                q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1 if c1 != 0 else 1.0))
-                roots = []
-                if q != 0.0:
-                    roots.append(c0 / q)
-                if c2 != 0.0 and q != 0.0:
-                    roots.append(q / c2)
-                elif q == 0.0:
-                    roots = [0.0, 0.0]
-    else:
-        # depressed cubic t^3 + pt + q with s = t - c2/(3 c3); rescale t by
-        # lam so the classification cannot under/overflow for extreme inputs
-        b, c, d = c2 / c3, c1 / c3, c0 / c3
-        pp = c - b * b / 3.0
-        qq = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-        shift = -b / 3.0
-        lam = max(math.sqrt(abs(pp)), abs(qq) ** (1.0 / 3.0))
-        if lam == 0.0:
-            roots = [shift]
-        else:
-            pp /= lam * lam
-            qq /= lam**3
-            disc = -4.0 * pp**3 - 27.0 * qq * qq
-            if disc > 0.0:
-                # three distinct real roots (trigonometric form)
-                m = 2.0 * math.sqrt(-pp / 3.0)
-                arg = 3.0 * qq / (pp * m)
-                arg = min(1.0, max(-1.0, arg))
-                phi = math.acos(arg)
-                roots = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0)
-                         for k in range(3)]
-            elif disc == 0.0:
-                if pp == 0.0:
-                    roots = [0.0]
-                else:
-                    roots = [3.0 * qq / pp, -1.5 * qq / pp, -1.5 * qq / pp]
-            else:
-                # one real root (Cardano)
-                half_q = -qq / 2.0
-                rad = math.sqrt(qq * qq / 4.0 + pp**3 / 27.0)
-                u = math.copysign(abs(half_q + rad) ** (1.0 / 3.0), half_q + rad)
-                v = math.copysign(abs(half_q - rad) ** (1.0 / 3.0), half_q - rad)
-                roots = [u + v]
-            roots = [lam * r + shift for r in roots]
-
-    coeffs = (c3, c2, c1, c0)
-    polished = [_newton_polish(coeffs, r) for r in roots]
-    out: list[float] = []
-    # Newton started at a spurious double root (its pair went complex) can
-    # run off to inf or NaN, and one started from a closed form that
-    # cancelled can stop far from any root
-    for r in sorted([r for r in polished
-                     if 0.0 < r < math.inf and _confirmed(cubic, r, scale)]):
-        if out and abs(r - out[-1]) <= ROOT_DEDUP_RTOL * max(abs(r), abs(out[-1])):
-            continue
-        out.append(r)
-    return out
-
-
-def _v_of_s(p: HyperbolicParams, s: float) -> float:
-    return p.V0 / s**2 + p.A / s + p.B / (1.0 + s)
-
-
-def _v2_of_s(p: HyperbolicParams, s: float) -> float:
-    # d^2V/ds^2; sign matches d^2V/dx^2 at critical points since ds/dx > 0
-    return 6.0 * p.V0 / s**4 + 2.0 * p.A / s**3 + 2.0 * p.B / (1.0 + s) ** 3
+    """All real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0, ascending (see
+    `_real_roots`)."""
+    return [float(s) for s in _real_roots(c3, c2, c1, c0)[0] if s == s]
 
 
 # The potential vanishes as x -> infinity: every term decays.
 ASYMPTOTE = 0.0
+PHASES = np.array(list(Phase), dtype=object)
+# B rows classified at once by spd_grid; bounds its temporary arrays
+SPD_BLOCK_ROWS = 20
+
+
+def _phases(p: HyperbolicParams):
+    """Phase of every (A, B) in p, whose A and B may be arrays (broadcast).
+
+    Returns flat arrays: indices into PHASES, the (n, 3) NaN-padded roots of
+    the critical cubic, and the well minimum (NaN for S).
+    """
+    V0, A, B, *cubic = np.broadcast_arrays(p.V0, p.A, p.B, *critical_cubic(p))
+    s = _real_roots(*(np.ravel(c) for c in cubic))
+    V0, A, B = (np.ravel(x)[:, None] for x in (V0, A, B))
+    with np.errstate(all="ignore"):
+        v = V0 / s**2 + A / s + B / (1.0 + s)
+        # d^2V/ds^2; sign matches d^2V/dx^2 at critical points since ds/dx > 0
+        v2 = 6.0 * V0 / s**4 + 2.0 * A / s**3 + 2.0 * B / (1.0 + s) ** 3
+    minimum = v2 > 0.0
+    has_min = minimum.any(axis=1)
+    min_value = np.where(minimum, v, np.inf).min(axis=1)
+    well = has_min & (min_value < 0.0)
+    barrier = ((v2 < 0.0) & (v > ASYMPTOTE)).any(axis=1)
+    # indices into PHASES (B, B&R, R, S). A well and a barrier need two
+    # distinct roots; without a well, a barrier over a non-negative minimum is R
+    code = np.select([well & barrier, well, barrier & has_min], [1, 0, 2], 3)
+    return code, s, np.where(code == 3, np.nan, min_value)
 
 
 def classify_phase(p: HyperbolicParams) -> SpectralPhase:
@@ -256,28 +295,11 @@ def classify_phase(p: HyperbolicParams) -> SpectralPhase:
     configurations with a non-negative minimum but a positive barrier are
     tagged R heuristically.
     """
-    roots = positive_real_roots(*critical_cubic(p))
-    crit = [(s, _v_of_s(p, s), _v2_of_s(p, s)) for s in roots]
-    minima = [(s, v) for s, v, v2 in crit if v2 > 0.0]
-    maxima = [(s, v) for s, v, v2 in crit if v2 < 0.0]
-
-    min_value = min((v for _, v in minima), default=None)
-    has_well = min_value is not None and min_value < 0.0
-    has_barrier = any(v > ASYMPTOTE for _, v in maxima)
-
-    if has_well and len(roots) == 1:
-        phase = Phase.B
-    elif has_well and has_barrier:
-        phase = Phase.BR
-    elif has_well:
-        phase = Phase.B
-    elif has_barrier and min_value is not None and min_value >= 0.0:
-        phase = Phase.R
-    else:
-        phase = Phase.S
-        min_value = None
-
-    return SpectralPhase(phase=phase, positive_roots=tuple(roots), min_value=min_value)
+    code, roots, min_value = _phases(p)
+    phase = PHASES[code[0]]
+    return SpectralPhase(
+        phase=phase, positive_roots=tuple(float(s) for s in roots[0] if s == s),
+        min_value=None if phase is Phase.S else float(min_value[0]))
 
 
 def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
@@ -298,9 +320,9 @@ def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
     A_vals = np.linspace(A_range[0], A_range[1], res_a)
     B_vals = np.linspace(B_range[0], B_range[1], res_b)
     phases = np.empty((res_b, res_a), dtype=object)
-    for i, B in enumerate(B_vals):
-        for j, A in enumerate(A_vals):
-            phases[i, j] = classify_phase(
-                HyperbolicParams(V0=V0, A=A, B=B, kappa=kappa)).phase
+    for i in range(0, res_b, SPD_BLOCK_ROWS):
+        rows = slice(i, i + SPD_BLOCK_ROWS)
+        p = HyperbolicParams(V0=V0, A=A_vals, B=B_vals[rows, None], kappa=kappa)
+        phases[rows] = PHASES[_phases(p)[0]].reshape(-1, res_a)
     rectangle = {"B_max": kappa**2 / 8.0, "A_max": V0}
     return A_vals, B_vals, phases, rectangle

@@ -151,6 +151,28 @@ def test_wavefunction_bad_state(capsys):
     assert "3" in err  # message names the bound count
 
 
+def test_wavefunction_count_limits_hyperbolic_levels(capsys):
+    code, _, err = run(capsys, "wavefunction", *S1_FLAGS, "--states", "2",
+                       "--count", "1")
+    assert code == 3
+    assert "outside the 1 computed bound states" in err
+    code, out, _ = run(capsys, "wavefunction", *S1_FLAGS, "--states", "2",
+                       "--count", "3", "--samples", "5")
+    assert code == 0
+    assert parse_csv(out)[1] == ["kappa*x", "psi_2"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--V0", "0"], "V0 must be positive, got 0.0"),
+    (["--V0", "1", "--kappa", "-1"], "kappa must be positive, got -1.0"),
+])
+def test_spd_invalid_params(capsys, flags, message):
+    code, out, err = run(capsys, "spd", *flags, "--A-min", "-5", "--A-max", "5",
+                         "--B-min", "-5", "--B-max", "5")
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_spd_grid(capsys):
     code, out, _ = run(capsys, "spd", "--V0", "10", "--kappa", "1",
                        "--A-min", "-20", "--A-max", "20",

@@ -10,6 +10,7 @@ from ptbound.potentials import (
     ASYMPTOTE,
     HyperbolicParams,
     Phase,
+    _phases,
     TrigParams,
     classify_phase,
     critical_cubic,
@@ -129,6 +130,32 @@ def test_positive_real_roots_unconfirmed_candidate(coeffs):
     assert positive_real_roots(*coeffs) == []
 
 
+def test_positive_real_roots_small_c3():
+    # the closed form cancels for small c3 and sees one real root; the
+    # other two come from deflating by it (numpy.roots: 2.17e9, 4.32, -1.32)
+    roots = positive_real_roots(2.3250014162161796e-09, -5.050893521126184,
+                                15.15929727227629, 28.872335113551316)
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(4.3234635608495, rel=1e-12)
+    assert roots[1] == pytest.approx(2172425994.6336737, rel=1e-12)
+
+
+def test_positive_real_roots_tiny_root_beside_double_root():
+    # the closed form sees a double root at 0; Newton from there runs off,
+    # while the quadratic left after deflation holds the root 3.94e-11
+    roots = positive_real_roots(1.0, 1.0, 1.776015632033046e-238,
+                                -1.5554858616727102e-21)
+    assert roots == [pytest.approx(3.943964834543232e-11, rel=1e-12)]
+
+
+def test_positive_real_roots_lower_order():
+    assert positive_real_roots(0.0, 0.0, 2.0, -4.0) == [2.0]
+    assert positive_real_roots(0.0, 1.0, -3.0, 2.0) == [1.0, 2.0]
+    assert positive_real_roots(1.0, -3.0, 3.0, -1.0) == [1.0]  # triple root
+    with pytest.raises(ValueError):
+        positive_real_roots(0.0, 0.0, 0.0, 0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50),
        st.floats(-50, 50))
@@ -200,3 +227,83 @@ def test_spd_grid_node_and_determinism():
 def test_spd_grid_resolution_validation():
     with pytest.raises(ValueError):
         spd_grid(10.0, 1.0, (-1.0, 1.0), (-1.0, 1.0), 1)
+
+
+def oracle_phase(V0, A, B):
+    """Phase from the critical cubic solved by numpy.roots, with the
+    classifier's rule restated: a minimum below 0 is a well, a maximum
+    above 0 a barrier; R needs a barrier over a non-negative minimum."""
+    roots = np.roots([A + B, 2.0 * (V0 + A), 4.0 * V0 + A, 2.0 * V0])
+    real = sorted(r.real for r in roots
+                  if abs(r.imag) <= 1e-9 * max(1.0, abs(r)) and r.real > 0.0)
+    crit = []
+    for s in real:
+        if not crit or abs(s - crit[-1]) > 1e-9 * s:
+            crit.append(s)
+    minima, maxima = [], []
+    for s in crit:
+        v = V0 / s**2 + A / s + B / (1.0 + s)
+        v2 = 6.0 * V0 / s**4 + 2.0 * A / s**3 + 2.0 * B / (1.0 + s) ** 3
+        (minima if v2 > 0.0 else maxima if v2 < 0.0 else []).append(v)
+    well = bool(minima) and min(minima) < 0.0
+    barrier = any(v > 0.0 for v in maxima)
+    if well:
+        return Phase.BR if barrier else Phase.B
+    return Phase.R if barrier and minima else Phase.S
+
+
+@pytest.mark.parametrize("V0", [0.7, 5.0, 10.0, 23.0])
+def test_spd_grid_matches_numpy_roots(V0):
+    rng = np.random.default_rng(int(V0 * 10))
+    kappa = float(rng.uniform(0.5, 1.5))
+    a_vals, b_vals, phases, _ = spd_grid(V0, kappa, (-60.0, 40.0),
+                                         (-60.0, 40.0), (60, 50))
+    bad = [(a, b) for i, b in enumerate(b_vals) for j, a in enumerate(a_vals)
+           if phases[i, j] is not oracle_phase(V0, a, b)]
+    assert bad == []
+
+
+def test_classify_phase_near_anti_diagonal():
+    # c3 = A + B within 1e-6 of 0: the closed form cancels here
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        V0 = float(rng.uniform(0.5, 40.0))
+        A = float(rng.uniform(-60.0, 40.0))
+        B = -A + float(rng.uniform(-1e-6, 1e-6))
+        p = HyperbolicParams(V0=V0, A=A, B=B, kappa=1.0)
+        assert classify_phase(p).phase is oracle_phase(V0, A, B), (V0, A, B)
+
+
+def test_spd_grid_anti_diagonal_on_nodes():
+    # A = -B exactly on 101 nodes: c3 = 0 there, the quadratic branch
+    a_vals, b_vals, phases, _ = spd_grid(10.0, 1.0, (-50.0, 50.0),
+                                         (-50.0, 50.0), 101)
+    nodes = [(i, j) for i in range(101) for j in range(101)
+             if a_vals[j] + b_vals[i] == 0.0]
+    assert len(nodes) == 101
+    for i, j in nodes:
+        assert phases[i, j] is oracle_phase(10.0, a_vals[j], b_vals[i])
+
+
+def test_classify_phase_linear_branch():
+    # A = -V0, B = V0: c3 = c2 = 0, and the one root -2/3 is not positive
+    res = classify_phase(HyperbolicParams(V0=4.0, A=-4.0, B=4.0, kappa=1.0))
+    assert res.phase is Phase.S is oracle_phase(4.0, -4.0, 4.0)
+    assert res.positive_roots == () and res.min_value is None
+
+
+def test_spd_grid_block_matches_point():
+    # a node classified inside its block gives the same evidence as alone
+    V0, kappa = 7.5, 1.2
+    a_vals, b_vals, phases, _ = spd_grid(V0, kappa, (-60.0, 40.0),
+                                         (-60.0, 40.0), 45)
+    codes, roots, min_value = _phases(HyperbolicParams(
+        V0=V0, A=a_vals, B=b_vals[:, None], kappa=kappa))
+    rng = np.random.default_rng(5)
+    for i, j in rng.integers(0, 45, size=(60, 2)):
+        alone = classify_phase(HyperbolicParams(V0, a_vals[j], b_vals[i], kappa))
+        k = i * 45 + j
+        assert phases[i, j] is alone.phase
+        assert alone.positive_roots == tuple(roots[k][~np.isnan(roots[k])])
+        expected = None if np.isnan(min_value[k]) else min_value[k]
+        assert alone.min_value == expected
