@@ -43,8 +43,10 @@ def _timestamp() -> str:
 def _emit(manifest: dict, columns: list[str], rows: list[list[str]],
           fmt: str, out_path: str | None) -> None:
     if fmt == "json":
+        # grids repeat their axis texts, so parse each distinct cell once
+        coerced = {v: _coerce(v) for v in set().union(*rows)}
         payload = {"manifest": manifest, "columns": columns,
-                   "rows": [[_coerce(v) for v in row] for row in rows]}
+                   "rows": [[coerced[v] for v in row] for row in rows]}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"# {k}={v}" for k, v in manifest.items()]
@@ -309,15 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handlers = {"spectrum": cmd_spectrum, "wavefunction": cmd_wavefunction,
                 "spd": cmd_spd, "verify": cmd_verify}
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # --help, or parser.error in parsing or a handler
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except PtboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

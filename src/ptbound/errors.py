@@ -41,10 +41,6 @@ class NonSymmetricError(PtboundError):
     """Matrix handed to the symmetric eigensolver is not symmetric."""
 
 
-class SingularMatrixError(PtboundError):
-    """Linear system is singular within the pivot tolerance."""
-
-
 class SolverError(PtboundError):
     """Eigensolver failed to converge or to extract requested values."""
 

@@ -14,7 +14,6 @@ eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .potentials import (
 
 DEFAULT_M = 500
 DEFAULT_K = 4
-CONDITIONING_NODE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -68,10 +66,12 @@ def zeta(j: int) -> float:
 def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
     """Finite-difference weights of maximal consistency order.
 
-    Solves the moment conditions
-        sum_j w_j (node_j - eval_offset)^p = p! * delta_{p,l},
-    p = 0..len(nodes)-1, so the stencil is exact on all monomials the
-    node count supports.
+    The weights w_j make sum_j w_j f(node_j) the l-th derivative at
+    eval_offset of the polynomial interpolating f on the nodes, so the
+    stencil is exact on all monomials the node count supports. They come
+    from Fornberg's recursion (Math. Comp. 51 (1988) 699), which adds one
+    node at a time to the derivatives of the Lagrange basis and solves no
+    linear system.
     """
     if l not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
@@ -81,14 +81,29 @@ def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
     m = len(nodes)
     if m < l + 1:
         raise ValueError(f"need at least {l + 1} nodes for order-{l} derivative")
-    if m > CONDITIONING_NODE_LIMIT:
-        warnings.warn(f"{m}-node moment system may be ill-conditioned",
-                      RuntimeWarning, stacklevel=2)
-    d = np.array(nodes, dtype=float) - eval_offset
-    vand = np.vander(d, m, increasing=True).T  # row p: d**p
-    rhs = np.zeros(m)
-    rhs[l] = math.factorial(l)
-    return linalg.solve_linear(vand, rhs)
+    # offsets from the evaluation point first: the weights then depend only
+    # on them, bitwise, wherever the window sits on the grid
+    d = [float(x - eval_offset) for x in nodes]
+    # c[j][q]: weight of node j in the q-th derivative over the nodes so far
+    c = [[1.0] + [0.0] * l] + [[0.0] * (l + 1) for _ in range(m - 1)]
+    orders = range(l, 0, -1)  # descending: c[j][q - 1] still holds its old value
+    c1 = 1.0  # prod_{j < i-1} (d[i-1] - d[j])
+    for i in range(1, m):
+        c2 = 1.0
+        for j in range(i):
+            c3 = d[i] - d[j]
+            c2 *= c3
+            cj = c[j]
+            if j == i - 1:
+                ci = c[i]
+                for q in orders:
+                    ci[q] = c1 * (q * cj[q - 1] - d[j] * cj[q]) / c2
+                ci[0] = -c1 * d[j] * cj[0] / c2
+            for q in orders:
+                cj[q] = (d[i] * cj[q] - q * cj[q - 1]) / c3
+            cj[0] = d[i] * cj[0] / c3
+        c1 = c2
+    return np.array([row[l] for row in c])
 
 
 def delta_matrices(cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -1,18 +1,18 @@
-"""Dense linear algebra with explicit residual contracts.
+"""Dense eigensolvers with explicit residual contracts.
 
-Thin wrappers over LAPACK (via numpy) that enforce the accuracy contracts
-the eigensolver modules rely on: symmetry checks on input, residual and
-orthonormality checks on output. Tolerances are relative to the
-max-row-sum norm so they stay scale-free across grids. The nonsymmetric
-eigensolve that needs only the few eigenvalues nearest a shift is a
-shift-invert Arnoldi iteration on numpy alone.
+Thin wrappers over the LAPACK eigensolvers (via numpy) that enforce the
+accuracy contracts the solver modules rely on: symmetry checks on input,
+residual and orthonormality checks on output. Tolerances are relative to
+the max-row-sum norm so they stay scale-free across grids. The
+nonsymmetric eigensolve that needs only the few eigenvalues nearest a
+shift is a shift-invert Arnoldi iteration on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonSymmetricError, SingularMatrixError, SolverError
+from .errors import NonSymmetricError, SolverError
 
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
@@ -159,20 +159,3 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ax = b with partial pivoting; rejects near-singular systems."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    norm = matrix_norm(a)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular system: {exc}") from exc
-    resid = np.abs(a @ x - b).max()
-    bound = RESIDUAL_RTOL * max(norm, 1.0) * max(np.abs(x).max(), 1.0)
-    if not np.isfinite(resid) or resid > bound:
-        raise SingularMatrixError(
-            f"solution residual {resid:.3e} exceeds {bound:.3e}")
-    return x

@@ -190,6 +190,21 @@ def test_spd_grid(capsys):
             assert ph != "B"
 
 
+def test_json_rows_match_csv(capsys):
+    spd = ["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20",
+           "--B-min", "-30", "--B-max", "10", "--resolution", "5"]
+    _, csv_out, _ = run(capsys, *spd)
+    _, json_out, _ = run(capsys, *spd, "--format", "json")
+    _, header, rows = parse_csv(csv_out)
+    payload = json.loads(json_out)
+    assert payload["columns"] == header
+    assert payload["rows"] == [[float(a), float(b), ph] for a, b, ph in rows]
+    _, spec_out, _ = run(capsys, "spectrum", *S4_FLAGS, "--method", "dvr",
+                         "--count", "3", "--format", "json")
+    spec_rows = json.loads(spec_out)["rows"]
+    assert [(type(n), n) for n, _ in spec_rows] == [(int, 0), (int, 1), (int, 2)]
+
+
 def test_verify_polys(capsys):
     code, out, _ = run(capsys, "verify", "polys")
     assert code == 0

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ptbound import hofd, linalg
+from ptbound import hofd, linalg, reference
 from ptbound.errors import ConfigError
 from ptbound.potentials import HyperbolicParams, TrigParams
 
@@ -54,6 +55,34 @@ def test_fd_weights_validation():
         hofd.fd_weights(2, [0, 0, 1], 0)
     with pytest.raises(ValueError):
         hofd.fd_weights(2, [0, 1], 0)
+
+
+def _exact_weights(l, nodes, x0):
+    """l-th derivative at x0 of each Lagrange basis polynomial, in rationals."""
+    weights = []
+    for j, xj in enumerate(nodes):
+        coeffs, denom = [Fraction(1)], Fraction(1)  # powers of (x - x0)
+        for xm in nodes[:j] + nodes[j + 1:]:
+            shifted = [Fraction(0)] * (len(coeffs) + 1)
+            for p, c in enumerate(coeffs):  # times (x - x0) - (xm - x0)
+                shifted[p + 1] += c
+                shifted[p] -= (xm - x0) * c
+            coeffs, denom = shifted, denom * (xj - xm)
+        weights.append(coeffs[l] * math.factorial(l) / denom)
+    return weights
+
+
+def test_fd_weights_exact():
+    for k in range(1, 9):
+        window = list(range(2 * k + 1))
+        cases = [(list(range(-k, k + 1)), 0)] + [(window, r) for r in range(1, k)]
+        for nodes, x0 in cases:
+            for l in (1, 2):
+                exact = _exact_weights(l, nodes, x0)
+                got = hofd.fd_weights(l, nodes, x0)
+                bound = 4e-15 * max(1.0, max(abs(float(e)) for e in exact))
+                err = max(abs(Fraction(float(w)) - e) for w, e in zip(got, exact))
+                assert err <= bound, (k, x0, l, float(err))
 
 
 def test_delta_matrices_k1_tridiagonal():
@@ -109,6 +138,18 @@ def test_hofd_spectrum_s1():
     expect = (-17.292792568575, -6.137201742113, -0.888027616853)
     for got, ref in zip(res.eigenvalues, expect):
         assert got == pytest.approx(ref, abs=1e-7)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+@pytest.mark.parametrize("name", ["S1", "S2"])
+def test_hofd_wide_stencil_matches_reference(name, k):
+    # wide stencils resolve the levels as well as the default k = 4 does
+    expect = reference.HYPERBOLIC_REFERENCE[name]["DVR"]
+    p = reference.HYPERBOLIC_SETS[name]
+    res = hofd.hofd_spectrum(p, hofd.HofdConfig(M=500, k=k), count=len(expect))
+    assert len(res.eigenvalues) == len(expect)
+    for got, ref in zip(res.eigenvalues, expect):
+        assert abs(got - ref) <= 1e-8
 
 
 def test_hofd_spectrum_s4_lowest():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptbound import linalg
-from ptbound.errors import NonSymmetricError, SingularMatrixError, SolverError
+from ptbound.errors import NonSymmetricError, SolverError
 
 
 def test_eig_symmetric_identity():
@@ -62,28 +62,6 @@ def test_eig_general_matches_symmetric():
     ws, _, _ = linalg.eig_symmetric(a)
     wg, _ = linalg.eig_general(a)
     assert np.abs(np.sort(wg.real) - ws).max() <= 1e-8
-
-
-def test_solve_linear_basic():
-    assert np.allclose(linalg.solve_linear(np.eye(3), np.arange(3.0)),
-                       np.arange(3.0))
-    assert np.allclose(
-        linalg.solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0])),
-        [1.0, 1.0])
-
-
-def test_solve_linear_vandermonde_stencil():
-    d = np.arange(-2.0, 3.0)
-    vand = np.vander(d, 5, increasing=True).T
-    rhs = np.zeros(5)
-    rhs[2] = 2.0  # 2! for the second derivative
-    w = linalg.solve_linear(vand, rhs)
-    assert np.allclose(w, [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])
-
-
-def test_solve_linear_singular():
-    with pytest.raises(SingularMatrixError):
-        linalg.solve_linear(np.zeros((2, 2)), np.ones(2))
 
 
 def test_matrix_norm():
