@@ -5,8 +5,6 @@ coefficients, node count on a fine grid)."""
 
 import argparse
 
-import numpy as np
-
 from ptbound import dvr, reference, tra
 
 
@@ -20,17 +18,15 @@ def main():
 
     if args.set in reference.HYPERBOLIC_SETS:
         p = reference.HYPERBOLIC_SETS[args.set]
-        family = tra.Family.HYPERBOLIC
         energies = dvr.hyperbolic_spectrum(p).eigenvalues
-        x = np.linspace(0.0, 10.0, args.samples + 2)[1:-1]
+        x = dvr.grid(args.samples + 1, dvr.DEFAULT_B)
     else:
         p = reference.TRIG_SETS[args.set]
-        family = tra.Family.TRIGONOMETRIC
         energies = dvr.trig_spectrum(p).eigenvalues
-        x = np.linspace(0.0, p.a, args.samples + 2)[1:-1]
+        x = dvr.grid(args.samples + 1, p.a)
 
     for m, e in enumerate(energies):
-        sol = tra.assemble_solution(family, p, e)
+        sol = tra.assemble_solution(p, e)
         _, psi = tra.eval_wavefunction(sol, p, x)
         nodes = tra.count_nodes(psi)
         print(f"state {m}: E={e:.10g}  mu={sol.basis.mu:.6f} "

@@ -164,12 +164,12 @@ def _param_echo(p) -> str:
 
 def cmd_wavefunction(args, parser) -> int:
     p = _params_from_args(args, parser)
+    if args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
     if isinstance(p, HyperbolicParams):
-        family, x_max, abscissa, scale = (
-            tra.Family.HYPERBOLIC, args.box_b, "kappa*x", p.kappa)
+        x_max, abscissa, scale = args.box_b, "kappa*x", p.kappa
     else:
-        family, x_max, abscissa, scale = (
-            tra.Family.TRIGONOMETRIC, p.a, "x/a", 1.0 / p.a)
+        x_max, abscissa, scale = p.a, "x/a", 1.0 / p.a
     bound = _dvr(p, args.count, args.grid_M, args.box_b).eigenvalues
     states = args.states
     bad = [m for m in states if m < 0 or m >= len(bound)]
@@ -178,8 +178,8 @@ def cmd_wavefunction(args, parser) -> int:
               "computed bound states", file=sys.stderr)
         return EXIT_COMPUTE
 
-    x = np.linspace(0.0, x_max, args.samples + 2)[1:-1]  # endpoints excluded
-    solutions = {m: tra.assemble_solution(family, p, bound[m]) for m in states}
+    x = dvr.grid(args.samples + 1, x_max)
+    solutions = {m: tra.assemble_solution(p, bound[m]) for m in states}
     psi = {m: tra.eval_wavefunction(sol, p, x)[1] for m, sol in solutions.items()}
     digits = DIGITS[args.family]
     columns = [abscissa] + [f"psi_{m}" for m in states]

@@ -106,6 +106,8 @@ def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
     Eigenvalues at or above the x -> infinity asymptote (zero) are
     discretized-continuum artifacts of the finite box and are dropped.
     """
+    if count is not None and count < 0:
+        raise ValueError("count must be >= 0")
     x = grid(M, b)
     h = hamiltonian(kinetic_semiinfinite(M, b), eval_hyperbolic(p, x))
     res = solve_spectrum(h, M - 1, config={"M": M, "b": b})
@@ -116,6 +118,8 @@ def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
 def trig_spectrum(p: TrigParams, M: int = DEFAULT_M_TRIG, count: int = 10,
                   reflected: bool = False) -> SpectrumResult:
     """Lowest `count` eigenvalues of the trigonometric potential well."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     x = grid(M, p.a)
     h = hamiltonian(kinetic_box(M, p.a), eval_trig(p, x, reflected=reflected))
     return solve_spectrum(h, count, config={"M": M, "a": p.a})

@@ -17,10 +17,6 @@ class SingularParameterError(PtboundError):
     """A recursion denominator or Gamma argument hit a pole."""
 
 
-class SingularPointError(PtboundError):
-    """Evaluation requested at a singular point of a formula."""
-
-
 class RecursionBreakdownError(PtboundError):
     """Leading coefficient of a three-term recursion step vanished."""
 

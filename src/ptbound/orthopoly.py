@@ -23,7 +23,6 @@ from .errors import (
     AdmissibilityError,
     RecursionBreakdownError,
     SingularParameterError,
-    SingularPointError,
 )
 
 
@@ -60,10 +59,6 @@ class TraPolyParams:
     z: float
     theta: float
     branch: Branch
-
-    def __post_init__(self):
-        if self.branch is Branch.HYPER and math.cosh(self.theta) < 1.0:
-            raise ValueError("hyperbolic branch requires cosh(theta) >= 1")
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -137,26 +132,6 @@ def jacobi_q_oracle(n: int, jp: JacobiParams, y):
     prefactor = pochhammer(mu + 1, n) / math.factorial(n)
     out = prefactor * total
     return out if out.ndim else float(out)
-
-
-def jacobi_q_derivative(n: int, jp: JacobiParams, y):
-    """dQ_n/dy by differentiating the forward recursion; requires y > 1.
-
-    Only the recursion steps that form Q_n are taken, so no Q_{n+1} is
-    formed: its recursion denominator vanishes at the admissible
-    mu + nu = -2n - 2.
-    """
-    _check_degree(n, jp)
-    y = np.asarray(y, dtype=float)
-    if np.any(y <= 1.0):
-        raise SingularPointError("derivative requested at the singular point y = 1")
-    q_prev, q = np.zeros_like(y), np.ones_like(y)
-    dq_prev, dq = np.zeros_like(y), np.zeros_like(y)
-    for k in range(n):
-        a, b, c = _recursion_terms(k, jp.mu, jp.nu)
-        q, q_prev, dq, dq_prev = (((y - a) * q - b * q_prev) / c, q,
-                                  (q + (y - a) * dq - b * dq_prev) / c, dq)
-    return dq if dq.ndim else float(dq)
 
 
 def jacobi_q_norm(n: int, jp: JacobiParams) -> float:

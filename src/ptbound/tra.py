@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,11 +20,6 @@ from .orthopoly import Branch, TraPolyParams, _q_forward, g_factor, tra_poly_coe
 from .potentials import HyperbolicParams, TrigParams
 
 GAMMA = 0.25  # gamma^2 = 1/16 for both potential families
-
-
-class Family(Enum):
-    HYPERBOLIC = "hyperbolic"
-    TRIGONOMETRIC = "trigonometric"
 
 
 @dataclass(frozen=True)
@@ -47,7 +41,6 @@ class SeriesParams:
     z: float
     theta: float
     branch: Branch
-    gamma: float = GAMMA
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,6 @@ class SeriesSolution:
     basis: TraBasisParams
     series: SeriesParams
     coeffs: tuple[float, ...]
-    family: Family
 
 
 def strict_floor(x: float) -> int:
@@ -100,9 +92,9 @@ def trig_basis(p: TrigParams, E: float) -> TraBasisParams:
                           epsilon=eps, N_m=n_m)
 
 
-def branch_window(family: Family, p) -> Branch | None:
+def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
     """Which series branch the potential parameters select, or None."""
-    if family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         if 0.0 < p.A < p.V0:
             return Branch.TRIG
         if p.A < 0.0:
@@ -115,13 +107,13 @@ def branch_window(family: Family, p) -> Branch | None:
     return None
 
 
-def series_params(family: Family, p) -> SeriesParams:
+def series_params(p: HyperbolicParams | TrigParams) -> SeriesParams:
     """Energy-independent polynomial argument (z, theta) for the parameter set."""
-    if family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         if p.A in (0.0, p.V0):
             raise BranchBoundaryError(
                 f"A={p.A} sits on a branch boundary (z diverges)")
-        branch = branch_window(family, p)
+        branch = branch_window(p)
         if branch is None:
             raise NoBranchError(f"A={p.A} outside both branch windows (V0={p.V0})")
         ratio = 1.0 - 2.0 * p.A / p.V0
@@ -135,7 +127,7 @@ def series_params(family: Family, p) -> SeriesParams:
         if p.C in (0.0, -p.V0):
             raise BranchBoundaryError(
                 f"C={p.C} sits on a branch boundary (z diverges)")
-        branch = branch_window(family, p)
+        branch = branch_window(p)
         if branch is None:
             raise NoBranchError(f"C={p.C} outside both branch windows (V0={p.V0})")
         ratio = -(2.0 * p.C / p.V0 + 1.0)
@@ -149,11 +141,12 @@ def series_params(family: Family, p) -> SeriesParams:
     return SeriesParams(z=math.sqrt(z2), theta=theta, branch=branch)
 
 
-def recursion_coefficients(family: Family, p, basis: TraBasisParams):
+def recursion_coefficients(p: HyperbolicParams | TrigParams,
+                           basis: TraBasisParams):
     """Tridiagonal coefficients (g, c, d) of the coefficient recursion:
     lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1}."""
     mu, nu, n_m = basis.mu, basis.nu, basis.N_m
-    if family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         scale2 = p.kappa**2
         shift = (p.V0 - 2.0 * p.A) / (4.0 * scale2)
     else:
@@ -174,33 +167,34 @@ def recursion_coefficients(family: Family, p, basis: TraBasisParams):
     return g, c, d
 
 
-def assemble_solution(family: Family, p, E_m: float) -> SeriesSolution:
+def assemble_solution(p: HyperbolicParams | TrigParams,
+                      E_m: float) -> SeriesSolution:
     """Full series record for the bound state at energy E_m."""
-    if family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         basis = hyperbolic_basis(p, E_m)
     else:
         basis = trig_basis(p, E_m)
-    series = series_params(family, p)
+    series = series_params(p)
     # Matching the coefficient recursion to the wave equation fixes the sign
     # of z*sin(theta): it must be negative. With z = +sqrt(z^2) and theta in
     # its principal range, that means evaluating the recursion at -theta.
-    tp = TraPolyParams(mu=basis.mu, nu=basis.nu, gamma2=series.gamma**2,
+    tp = TraPolyParams(mu=basis.mu, nu=basis.nu, gamma2=GAMMA**2,
                        z=series.z, theta=-series.theta, branch=series.branch)
     h = tra_poly_coeffs(tp, basis.N_m)
     coeffs = tuple(h[n] / g_factor(n, basis.mu, basis.nu)
                    for n in range(basis.N_m + 1))
-    return SeriesSolution(energy=E_m, basis=basis, series=series,
-                          coeffs=coeffs, family=family)
+    return SeriesSolution(energy=E_m, basis=basis, series=series, coeffs=coeffs)
 
 
-def eval_wavefunction(sol: SeriesSolution, p, x_grid) -> tuple[np.ndarray, np.ndarray]:
+def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
+                      x_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sample the (un-normalized) wavefunction series on x_grid.
 
     Grid points on or outside the open domain are excluded with a warning.
     Returns (kept_x, psi).
     """
     x = np.asarray(x_grid, dtype=float)
-    if sol.family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         keep = x > 0.0
     else:
         keep = (x > 0.0) & (x < p.a)
@@ -209,7 +203,7 @@ def eval_wavefunction(sol: SeriesSolution, p, x_grid) -> tuple[np.ndarray, np.nd
                       "the open domain", RuntimeWarning, stacklevel=2)
     x = x[keep]
     mu, nu = sol.basis.mu, sol.basis.nu
-    if sol.family is Family.HYPERBOLIC:
+    if isinstance(p, HyperbolicParams):
         u = p.kappa * x
         y = 2.0 / np.tanh(u) ** 2 - 1.0
         prefactor = (math.sqrt(2.0) ** (mu + nu + 0.5)

@@ -129,8 +129,7 @@ def test_criterion_5_polynomial_identities():
     for name, p in HYP.items():
         for e in dvr.hyperbolic_spectrum(p).eigenvalues:
             basis = tra.hyperbolic_basis(p, e)
-            _, c, d = tra.recursion_coefficients(tra.Family.HYPERBOLIC,
-                                                 p, basis)
+            _, c, d = tra.recursion_coefficients(p, basis)
             ok &= all(cn * dn > 0 for cn, dn in zip(c, d))
     _report(5, "polynomial identities", worst, ok)
     assert ok
@@ -155,13 +154,13 @@ def test_criterion_6_series_solver_consistency():
     from ptbound.potentials import eval_hyperbolic, eval_trig
 
     for name, p in HYP.items():
-        if tra.branch_window(tra.Family.HYPERBOLIC, p) is None:
+        if tra.branch_window(p) is None:
             continue
         x = grid(200, 10.0)
         h = hamiltonian(kinetic_semiinfinite(200, 10.0), eval_hyperbolic(p, x))
         fine = np.linspace(0.0, 10.0, 2002)[1:-1]
         for m, e in enumerate(dvr.hyperbolic_spectrum(p).eigenvalues):
-            sol = tra.assemble_solution(tra.Family.HYPERBOLIC, p, e)
+            sol = tra.assemble_solution(p, e)
             _, psi = tra.eval_wavefunction(sol, p, x)
             rq = _rayleigh_quotient(h, psi)
             rel = abs(rq - e) / abs(e)
@@ -172,13 +171,13 @@ def test_criterion_6_series_solver_consistency():
                 failures.append(f"{name} m={m}: RQ rel err {rel:.2e}, "
                                 f"nodes {nodes}")
     for name, p in TRIG.items():
-        if tra.branch_window(tra.Family.TRIGONOMETRIC, p) is None:
+        if tra.branch_window(p) is None:
             continue
         x = grid(300, p.a)
         h = hamiltonian(kinetic_box(300, p.a), eval_trig(p, x))
         fine = np.linspace(0.0, p.a, 2002)[1:-1]
         for m, e in enumerate(dvr.trig_spectrum(p).eigenvalues):
-            sol = tra.assemble_solution(tra.Family.TRIGONOMETRIC, p, e)
+            sol = tra.assemble_solution(p, e)
             _, psi = tra.eval_wavefunction(sol, p, x)
             rq = _rayleigh_quotient(h, psi)
             rel = abs(rq - e) / abs(e)

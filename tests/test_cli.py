@@ -100,6 +100,19 @@ def test_spectrum_empty_table(capsys):
     assert "no bound level" in err
 
 
+@pytest.mark.parametrize("flags", [S1_FLAGS, S4_FLAGS],
+                         ids=["hyperbolic", "trig"])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--method", "dvr"], ["spectrum", "--method", "hofd"],
+    ["spectrum", "--method", "both"], ["wavefunction", "--states", "0"]])
+def test_negative_count_usage_error(capsys, flags, command):
+    # a negative count once sliced the DVR levels from the end
+    code, out, err = run(capsys, command[0], *flags, *command[1:],
+                         "--count", "-1")
+    assert code == 2
+    assert out == "" and "count must be >= 0" in err
+
+
 def test_spectrum_usage_error(capsys):
     code, _, _ = run(capsys, "spectrum", "--family", "hyperbolic",
                      "--V0", "10")  # missing A, B
@@ -162,6 +175,14 @@ def test_wavefunction_count_limits_hyperbolic_levels(capsys):
     assert parse_csv(out)[1] == ["kappa*x", "psi_2"]
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_wavefunction_samples_below_one(capsys, samples):
+    code, out, err = run(capsys, "wavefunction", *S4_FLAGS, "--states", "0",
+                         "--samples", samples)
+    assert code == 2
+    assert out == "" and "--samples must be >= 1" in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--V0", "0"], "V0 must be positive, got 0.0"),
     (["--V0", "1", "--kappa", "-1"], "kappa must be positive, got -1.0"),
@@ -222,6 +243,10 @@ PINNED_BODIES = {
            "39e963cef2890995cba65fab0df2ab2cae1d11b9f676911d686fc83884ef8627"),
     "S4": (["spectrum", *S4_FLAGS, "--method", "both"],
            "07abb644b3ae255a2f5db027af3bf38d456e6351731912180cc7464d9e9fb184"),
+    "wavefunction-S3": (["wavefunction", *S3_FLAGS, "--states", "0", "1", "2"],
+                        "319857bf4a07b415128a7985d514190b716c12dc12bf051f0e2f31d7633f86b0"),
+    "wavefunction-S4": (["wavefunction", *S4_FLAGS, "--states", "0", "1", "2"],
+                        "f652b735d371881807e3bfbd77cecedb19136737fe3e6f17e08ddc9aead6a2dc"),
 }
 
 

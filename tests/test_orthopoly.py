@@ -10,7 +10,6 @@ from ptbound import orthopoly as op
 from ptbound.errors import (
     AdmissibilityError,
     SingularParameterError,
-    SingularPointError,
 )
 
 
@@ -92,43 +91,6 @@ def test_parity_identity(case, y):
     swapped, mag2 = hyp_sum(jp.nu, jp.mu, n, -y)
     scale = max(mag1, mag2, 1.0)
     assert abs(direct - (-1.0) ** n * swapped) <= 1e-10 * scale
-
-
-def test_derivative_low_degrees():
-    jp = op.JacobiParams(mu=0.4, nu=-7.0, N=2)
-    assert op.jacobi_q_derivative(0, jp, 3.0) == 0.0
-    expect = (jp.mu + jp.nu + 2) / 2.0
-    for y in (1.5, 3.0, 10.0):
-        assert op.jacobi_q_derivative(1, jp, y) == pytest.approx(expect,
-                                                                 rel=1e-11)
-
-
-def test_derivative_at_recursion_pole():
-    # Q_{n+1}'s recursion denominator vanishes at mu + nu = -2n - 2
-    assert op.jacobi_q_derivative(0, op.JacobiParams(mu=0.0, nu=-2.0, N=0),
-                                  2.0) == 0.0
-    jp = op.JacobiParams(mu=0.5, nu=-4.5, N=1)
-    y, h = 3.0, 1e-5
-    fd = (op.jacobi_q(1, jp, y + h) - op.jacobi_q(1, jp, y - h)) / (2 * h)
-    assert op.jacobi_q_derivative(1, jp, y) == pytest.approx(fd, rel=1e-8)
-
-
-def test_derivative_singular_at_one():
-    jp = op.JacobiParams(mu=0.4, nu=-7.0, N=2)
-    with pytest.raises(SingularPointError):
-        op.jacobi_q_derivative(2, jp, 1.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(admissible())
-def test_derivative_matches_finite_difference(case):
-    jp, n = case
-    y, h = 3.0, 1e-5
-    fd = (op.jacobi_q(n, jp, y + h) - op.jacobi_q(n, jp, y - h)) / (2 * h)
-    an = op.jacobi_q_derivative(n, jp, y)
-    # the FD oracle's own cancellation floor scales with |Q|, not |Q'|
-    scale = max(1.0, abs(an), abs(op.jacobi_q(n, jp, y)))
-    assert abs(fd - an) <= 1e-7 * scale
 
 
 @settings(max_examples=100, deadline=None)

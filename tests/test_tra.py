@@ -66,57 +66,52 @@ def test_trig_basis_validity():
 def test_series_params_hyperbolic_branches():
     # A = V0/2 sits mid-window: theta = pi/2, z^2 = 16 k^4 / V0^2
     p = HyperbolicParams(V0=10.0, A=5.0, B=0.0, kappa=1.0)
-    sp = tra.series_params(tra.Family.HYPERBOLIC, p)
+    sp = tra.series_params(p)
     assert sp.branch is Branch.TRIG
     assert sp.theta == pytest.approx(math.pi / 2.0)
     assert sp.z**2 == pytest.approx(16.0 / 100.0)
-    sp = tra.series_params(tra.Family.HYPERBOLIC, S1)  # A < 0
+    sp = tra.series_params(S1)  # A < 0
     assert sp.branch is Branch.HYPER
     assert math.cosh(sp.theta) == pytest.approx(1 - 2 * S1.A / S1.V0, rel=1e-12)
 
 
 def test_series_params_trig_branches():
-    sp = tra.series_params(tra.Family.TRIGONOMETRIC, S3)  # C < -V0
+    sp = tra.series_params(S3)  # C < -V0
     assert sp.branch is Branch.HYPER
     assert math.cosh(sp.theta) == pytest.approx(3.0, rel=1e-12)
     assert sp.z**2 == pytest.approx(4.0 * S3.rho**4 / 50.0, rel=1e-12)
-    sp = tra.series_params(tra.Family.TRIGONOMETRIC, S4)  # -V0 < C < 0
+    sp = tra.series_params(S4)  # -V0 < C < 0
     assert sp.branch is Branch.TRIG
     assert math.cos(sp.theta) == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_series_params_boundaries():
     with pytest.raises(BranchBoundaryError):
-        tra.series_params(tra.Family.HYPERBOLIC,
-                          HyperbolicParams(10.0, 0.0, 0.0, 1.0))
+        tra.series_params(HyperbolicParams(10.0, 0.0, 0.0, 1.0))
     with pytest.raises(BranchBoundaryError):
-        tra.series_params(tra.Family.HYPERBOLIC,
-                          HyperbolicParams(10.0, 10.0, 0.0, 1.0))
+        tra.series_params(HyperbolicParams(10.0, 10.0, 0.0, 1.0))
     with pytest.raises(NoBranchError):
-        tra.series_params(tra.Family.HYPERBOLIC,
-                          HyperbolicParams(10.0, 15.0, 0.0, 1.0))
+        tra.series_params(HyperbolicParams(10.0, 15.0, 0.0, 1.0))
     with pytest.raises(NoBranchError):
-        tra.series_params(tra.Family.TRIGONOMETRIC,
-                          TrigParams(5.0, 1.0, 2.0, 1.0))
+        tra.series_params(TrigParams(5.0, 1.0, 2.0, 1.0))
 
 
 def test_branch_window():
-    assert tra.branch_window(tra.Family.HYPERBOLIC, S1) is Branch.HYPER
-    assert tra.branch_window(tra.Family.HYPERBOLIC, S2) is Branch.TRIG
-    assert tra.branch_window(
-        tra.Family.HYPERBOLIC, HyperbolicParams(10.0, 0.0, 0.0, 1.0)) is None
+    assert tra.branch_window(S1) is Branch.HYPER
+    assert tra.branch_window(S2) is Branch.TRIG
+    assert tra.branch_window(HyperbolicParams(10.0, 0.0, 0.0, 1.0)) is None
 
 
 def test_recursion_coefficients_favard():
-    for family, p, energies in (
-            (tra.Family.HYPERBOLIC, S1, dvr.hyperbolic_spectrum(S1).eigenvalues),
-            (tra.Family.TRIGONOMETRIC, S4, dvr.trig_spectrum(S4).eigenvalues)):
+    for p, energies in (
+            (S1, dvr.hyperbolic_spectrum(S1).eigenvalues),
+            (S4, dvr.trig_spectrum(S4).eigenvalues)):
         for e in energies:
-            if family is tra.Family.HYPERBOLIC:
+            if isinstance(p, HyperbolicParams):
                 basis = tra.hyperbolic_basis(p, e)
             else:
                 basis = tra.trig_basis(p, e)
-            g, c, d = tra.recursion_coefficients(family, p, basis)
+            g, c, d = tra.recursion_coefficients(p, basis)
             assert len(g) == basis.N_m + 1
             assert len(c) == len(d) == basis.N_m
             for cn, dn in zip(c, d):
@@ -125,34 +120,33 @@ def test_recursion_coefficients_favard():
 
 def test_recursion_coefficients_single_term():
     basis = tra.hyperbolic_basis(S1, E1[0])  # N = 0
-    g, c, d = tra.recursion_coefficients(tra.Family.HYPERBOLIC, S1, basis)
+    g, c, d = tra.recursion_coefficients(S1, basis)
     assert len(g) == 1 and c == [] and d == []
 
 
 def test_assemble_solution_single_term():
-    sol = tra.assemble_solution(tra.Family.HYPERBOLIC, S1, E1[0])
+    sol = tra.assemble_solution(S1, E1[0])
     assert sol.coeffs == (1.0,)
-    sol = tra.assemble_solution(tra.Family.TRIGONOMETRIC, S3, 16.797026)
+    sol = tra.assemble_solution(S3, 16.797026)
     assert sol.coeffs == (1.0,)
 
 
 def test_assemble_solution_leading_coefficient():
     for e in E1:
-        sol = tra.assemble_solution(tra.Family.HYPERBOLIC, S1, e)
+        sol = tra.assemble_solution(S1, e)
         assert sol.coeffs[0] == 1.0
         assert len(sol.coeffs) == sol.basis.N_m + 1
 
 
 def test_coefficients_satisfy_recursion():
     # the assembled G_n^{-1} H_n coefficients solve the three-term relation
-    for family, p, e in ((tra.Family.HYPERBOLIC, S1, E1[2]),
-                         (tra.Family.TRIGONOMETRIC, S4, 68.685118)):
-        sol = tra.assemble_solution(family, p, e)
-        if family is tra.Family.HYPERBOLIC:
+    for p, e in ((S1, E1[2]), (S4, 68.685118)):
+        sol = tra.assemble_solution(p, e)
+        if isinstance(p, HyperbolicParams):
             basis = tra.hyperbolic_basis(p, e)
         else:
             basis = tra.trig_basis(p, e)
-        g, c, d = tra.recursion_coefficients(family, p, basis)
+        g, c, d = tra.recursion_coefficients(p, basis)
         f = sol.coeffs
         for n in range(basis.N_m):
             lhs = g[n] * f[n] + c[n] * f[n + 1]
@@ -163,7 +157,7 @@ def test_coefficients_satisfy_recursion():
 
 
 def test_eval_wavefunction_hyperbolic_decay():
-    sol = tra.assemble_solution(tra.Family.HYPERBOLIC, S1, E1[1])
+    sol = tra.assemble_solution(S1, E1[1])
     x = np.linspace(0.01, 30.0, 3000)
     _, psi = tra.eval_wavefunction(sol, S1, x)
     assert abs(psi[-1]) < 1e-8 * np.abs(psi).max()
@@ -172,7 +166,7 @@ def test_eval_wavefunction_hyperbolic_decay():
 
 
 def test_eval_wavefunction_trig_decay():
-    sol = tra.assemble_solution(tra.Family.TRIGONOMETRIC, S4, 29.961374)
+    sol = tra.assemble_solution(S4, 29.961374)
     x = np.array([1e-4, 0.5, 1.0 - 1e-4])
     _, psi = tra.eval_wavefunction(sol, S4, x)
     assert abs(psi[0]) < 1e-2 * abs(psi[1])
@@ -180,7 +174,7 @@ def test_eval_wavefunction_trig_decay():
 
 
 def test_eval_wavefunction_excludes_boundary():
-    sol = tra.assemble_solution(tra.Family.TRIGONOMETRIC, S4, 29.961374)
+    sol = tra.assemble_solution(S4, 29.961374)
     with pytest.warns(RuntimeWarning):
         kept, psi = tra.eval_wavefunction(sol, S4, np.array([0.0, 0.5, 1.0]))
     assert kept.tolist() == [0.5]
