@@ -15,6 +15,8 @@ def main():
                     + sorted(reference.TRIG_SETS))
     ap.add_argument("--samples", type=int, default=2000)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error(f"--samples must be >= 1, got {args.samples}")
 
     if args.set in reference.HYPERBOLIC_SETS:
         p = reference.HYPERBOLIC_SETS[args.set]

@@ -129,8 +129,15 @@ def _spectra(args, p):
     return results
 
 
+def _check_grid_M(args, parser) -> None:
+    # a grid size of 0 must not fall through to `grid_M or default`
+    if args.grid_M is not None and args.grid_M < 1:
+        parser.error(f"--grid-M must be >= 1, got {args.grid_M}")
+
+
 def cmd_spectrum(args, parser) -> int:
     p = _params_from_args(args, parser)
+    _check_grid_M(args, parser)
     results = _spectra(args, p)
     digits = DIGITS[args.family]
     methods = list(results)
@@ -166,6 +173,7 @@ def cmd_wavefunction(args, parser) -> int:
     p = _params_from_args(args, parser)
     if args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
+    _check_grid_M(args, parser)
     if isinstance(p, HyperbolicParams):
         x_max, abscissa, scale = args.box_b, "kappa*x", p.kappa
     else:

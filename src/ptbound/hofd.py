@@ -8,7 +8,11 @@ index, so the hyperbolic operator is rebuilt for every requested level.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
-(`linalg.eig_shift_invert`) rather than a dense eigendecomposition.
+(`linalg.eig_shift_invert`) rather than a dense eigendecomposition. The
+operator is banded: a row reaches at most 2k - 1 columns from the
+diagonal (the one-sided wall stencils), so the solve reads that bandwidth
+from the matrix and factors the shifted operator block by block in
+O(M) work, where a dense inverse would cost O(M^3).
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +114,30 @@ def test_negative_count_usage_error(capsys, flags, command):
                          "--count", "-1")
     assert code == 2
     assert out == "" and "count must be >= 0" in err
+
+
+@pytest.mark.parametrize("grid_M", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--method", "dvr"], ["spectrum", "--method", "hofd"],
+    ["spectrum", "--method", "both"], ["wavefunction", "--states", "0"]])
+def test_grid_M_below_one_usage_error(capsys, command, grid_M):
+    # --grid-M 0 once ran the default grids and exited 0
+    code, out, err = run(capsys, command[0], *S1_FLAGS, *command[1:],
+                         "--grid-M", grid_M)
+    assert code == 2
+    assert out == "" and "--grid-M must be >= 1" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_wavefunction_profiles_samples_below_one(capsys, monkeypatch, samples):
+    # the script once printed nodes=0 for every state and exited 0
+    script = Path(__file__).parents[1] / "scripts" / "wavefunction_profiles.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--samples", samples])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == "" and "--samples must be >= 1" in out.err
 
 
 def test_spectrum_usage_error(capsys):

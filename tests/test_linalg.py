@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ptbound import linalg
+from ptbound import hofd, linalg, reference
 from ptbound.errors import NonSymmetricError, SolverError
+from ptbound.potentials import eval_hyperbolic, eval_trig
 
 
 def test_eig_symmetric_identity():
@@ -116,3 +117,84 @@ def test_eig_shift_invert_residual_contract(monkeypatch):
 def test_eig_shift_invert_count_zero():
     got, resid = linalg.eig_shift_invert(np.eye(3), 0.0, 0)
     assert got.shape == (0,) and resid == 0.0
+
+
+def _banded(n, p, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    i = np.arange(n)
+    a[np.abs(i[:, None] - i[None, :]) > p] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("n,p", [(203, 5), (150, 0), (40, 39), (300, 70),
+                                 (2 * linalg.BLOCK, 1)])
+def test_shifted_solver_matches_dense_solve(n, p):
+    # several blocks with a remainder, a diagonal, a dense single block and
+    # a band wider than BLOCK
+    a = _banded(n, p, n + p)
+    sigma = -2.0 * linalg.matrix_norm(a)  # keeps a - sigma I well conditioned
+    b = np.random.default_rng(1).normal(size=n)
+    got = linalg.shifted_solver(a, sigma)(b)
+    want = np.linalg.solve(a - sigma * np.eye(n), b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_half_bandwidth():
+    assert linalg.half_bandwidth(np.zeros((4, 4))) == 0
+    assert linalg.half_bandwidth(np.eye(4)) == 0
+    assert linalg.half_bandwidth(_banded(30, 4, 0)) == 4
+    a = np.zeros((6, 6))
+    a[5, 0] = 1.0  # one corner entry sets the band
+    assert linalg.half_bandwidth(a) == 5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_half_bandwidth_of_hofd_operator(k):
+    # the one-sided wall stencils over 2k + 1 points reach 2k - 1 columns
+    # past the diagonal once the Dirichlet end column is cut
+    op = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"],
+                                  hofd.HofdConfig(M=60, k=k), 1)
+    assert linalg.half_bandwidth(op) == 2 * k - 1
+
+
+def test_eig_shift_invert_tridiagonal_toeplitz():
+    # nonsymmetric Toeplitz tridiagonal over several blocks; its eigenvalues
+    # are 3 + 2 sqrt(0.95 * 1.05) cos(j pi / (n + 1)), j = 1..n
+    n = 200
+    a = 3.0 * np.eye(n) + 0.95 * np.eye(n, k=-1) + 1.05 * np.eye(n, k=1)
+    exact = np.sort(3.0 + 2.0 * np.sqrt(0.95 * 1.05)
+                    * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    got, resid = linalg.eig_shift_invert(a, 0.0, 6)
+    assert n > 2 * linalg.BLOCK
+    assert np.abs(got - exact[:6]).max() <= 1e-11
+    assert resid <= linalg.RESIDUAL_RTOL
+
+
+def _hofd_cases(M):
+    cfg = hofd.HofdConfig(M=M)
+    s1 = reference.HYPERBOLIC_SETS["S1"]
+    for j in (1, 2, 3):
+        v = eval_hyperbolic(s1, hofd._mapped_nodes(cfg, hofd.zeta(j)))
+        yield hofd.hyperbolic_operator(s1, cfg, j), float(v.min()) - 1.0, j
+    s3 = reference.TRIG_SETS["S3"]
+    v = eval_trig(s3, s3.a * cfg.s)
+    yield hofd.box_operator(s3, cfg), float(v.min()) - 1.0, 10
+
+
+def test_eig_shift_invert_blocks_match_single_block(monkeypatch):
+    cases = list(_hofd_cases(500))
+    blocked = [linalg.eig_shift_invert(*case)[0] for case in cases]
+    monkeypatch.setattr(linalg, "BLOCK", 500)  # one block: the dense inverse
+    for case, got in zip(cases, blocked):
+        dense, _ = linalg.eig_shift_invert(*case)
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("sigma", [5.0, 150.0])
+def test_eig_shift_invert_singular_shift(sigma):
+    # sigma is a diagonal entry of a diagonal matrix, in the first block and
+    # in the last one, so that block of a - sigma I is exactly singular
+    a = np.diag(np.arange(200.0))
+    with pytest.raises(SolverError):
+        linalg.eig_shift_invert(a, sigma, 1)
