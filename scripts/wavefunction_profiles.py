@@ -33,7 +33,7 @@ def main():
         nodes = tra.count_nodes(psi)
         print(f"state {m}: E={e:.10g}  mu={sol.basis.mu:.6f} "
               f"nu={sol.basis.nu:.6f}  N={sol.basis.N_m}  "
-              f"branch={sol.series.branch.value}  nodes={nodes}")
+              f"branch={sol.branch and sol.branch.value}  nodes={nodes}")
         print(f"  coeffs: {[round(c, 8) for c in sol.coeffs]}")
 
 

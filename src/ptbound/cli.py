@@ -200,7 +200,7 @@ def cmd_wavefunction(args, parser) -> int:
     for m, sol in solutions.items():
         manifest[f"state_{m}"] = json.dumps({
             "E": sol.energy, "mu": sol.basis.mu, "nu": sol.basis.nu,
-            "N": sol.basis.N_m, "branch": sol.series.branch.value,
+            "N": sol.basis.N_m, "branch": sol.branch and sol.branch.value,
             "coeffs": list(sol.coeffs)})
     _emit(manifest, columns, rows, args.format, args.out)
     return EXIT_OK

@@ -10,7 +10,7 @@ the grid away from the singular endpoints automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,12 +88,12 @@ def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarra
     return h
 
 
-def solve_spectrum(h: np.ndarray, count: int,
-                   config: dict | None = None) -> SpectrumResult:
-    """The `count` lowest eigenvalues of a symmetric Hamiltonian, ascending,
-    with the largest eigen-residual among them."""
+def solve_spectrum(h: np.ndarray, count: int, config: dict | None = None,
+                   below: float = math.inf) -> SpectrumResult:
+    """The `count` lowest eigenvalues under `below` of a symmetric
+    Hamiltonian, ascending, with the largest eigen-residual among them."""
     w, _, resid = linalg.eig_symmetric(h)
-    count = min(count, len(w))
+    count = min(count, int(np.count_nonzero(w < below)))
     return SpectrumResult(eigenvalues=tuple(float(x) for x in w[:count]),
                           config=dict(config or {}),
                           max_residual=float(resid[:count].max(initial=0.0)))
@@ -110,9 +110,8 @@ def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
         raise ValueError("count must be >= 0")
     x = grid(M, b)
     h = hamiltonian(kinetic_semiinfinite(M, b), eval_hyperbolic(p, x))
-    res = solve_spectrum(h, M - 1, config={"M": M, "b": b})
-    bound = tuple(e for e in res.eigenvalues if e < ASYMPTOTE)
-    return replace(res, eigenvalues=bound[:count])
+    return solve_spectrum(h, M - 1 if count is None else count,
+                          config={"M": M, "b": b}, below=ASYMPTOTE)
 
 
 def trig_spectrum(p: TrigParams, M: int = DEFAULT_M_TRIG, count: int = 10,

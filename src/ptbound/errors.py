@@ -17,20 +17,8 @@ class SingularParameterError(PtboundError):
     """A recursion denominator or Gamma argument hit a pole."""
 
 
-class RecursionBreakdownError(PtboundError):
-    """Leading coefficient of a three-term recursion step vanished."""
-
-
 class TraValidityError(PtboundError):
     """Energy or potential parameters outside the series-solution window."""
-
-
-class NoBranchError(TraValidityError):
-    """Potential parameters fall in no series branch window."""
-
-
-class BranchBoundaryError(TraValidityError):
-    """Potential parameters sit exactly on a branch boundary."""
 
 
 class NonSymmetricError(PtboundError):

@@ -1,29 +1,21 @@
-"""Jacobi polynomials on the semi-infinite line and the recursion-defined
-series polynomials used by the wavefunction assembly.
+"""Jacobi polynomials Q_n on the semi-infinite line y >= 1, the basis of
+the series wavefunctions.
 
 The Q_n family is orthogonal on y >= 1 with weight (y-1)^mu (y+1)^nu and
 exists only for finitely many degrees: mu > -1 and mu + nu < -2N - 1.
 Everything is evaluated by forward three-term recursion; a terminating
-hypergeometric sum serves as an independent cross-check.
-
-The H_n (circular) and H-tilde_n (hyperbolic) families are known only
-through their three-term recursions; closed-form measures are an open
-problem, so no shortcuts exist here.
+hypergeometric sum serves as an independent cross-check. The series
+coefficients themselves come from `tra.recursion_coefficients`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    RecursionBreakdownError,
-    SingularParameterError,
-)
+from .errors import AdmissibilityError, SingularParameterError
 
 
 @dataclass(frozen=True)
@@ -42,23 +34,6 @@ class JacobiParams:
         if not self.mu + self.nu < -2 * self.N - 1:
             raise AdmissibilityError(
                 f"need mu + nu < -2N - 1: mu+nu={self.mu + self.nu}, N={self.N}")
-
-
-class Branch(Enum):
-    TRIG = "trig"    # circular recursion (cos/sin)
-    HYPER = "hyper"  # hyperbolic recursion (cosh/sinh)
-
-
-@dataclass(frozen=True)
-class TraPolyParams:
-    """Argument bundle for the recursion-defined polynomial families."""
-
-    mu: float
-    nu: float
-    gamma2: float
-    z: float
-    theta: float
-    branch: Branch
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -146,43 +121,3 @@ def jacobi_q_norm(n: int, jp: JacobiParams) -> float:
         raise SingularParameterError(f"Gamma pole in norm formula: {exc}") from exc
     return ((-1.0) ** (n + 1) * 2.0 ** (mu + nu + 1)
             / (2 * n + mu + nu + 1) * num / den)
-
-
-def tra_poly_coeffs(tp: TraPolyParams, nmax: int) -> list[float]:
-    """[H_0, ..., H_nmax] (or the hyperbolic-branch analogue) by forward recursion.
-
-    Each step solves the three-term recursion for the highest-degree member;
-    the step fails if its leading coefficient vanishes.
-    """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    mu, nu, g2, z = tp.mu, tp.nu, tp.gamma2, tp.z
-    if tp.branch is Branch.TRIG:
-        cs, sn = math.cos(tp.theta), math.sin(tp.theta)
-    else:
-        cs, sn = math.cosh(tp.theta), math.sinh(tp.theta)
-    values = [1.0]
-    h_prev, h = 0.0, 1.0
-    for n in range(nmax):
-        a, b, c = _recursion_terms(n, mu, nu)
-        if c == 0.0:
-            raise RecursionBreakdownError(
-                f"leading recursion coefficient vanishes at n={n}")
-        diag = ((n + (mu + nu + 1) / 2.0) ** 2 - g2) * z * sn + a
-        h, h_prev = ((cs - diag) * h - b * h_prev) / c, h
-        values.append(h)
-    return values
-
-
-def g_factor(n: int, mu: float, nu: float) -> float:
-    """Normalization factor linking recursion coefficients to the series weights.
-
-    G_n = (mu+1)_n (nu+1)_n / (n! (mu+nu+1)_n) * (mu+nu+1)/(2n+mu+nu+1).
-    """
-    den_poch = pochhammer(mu + nu + 1, n)
-    den_last = 2 * n + mu + nu + 1
-    if den_poch == 0.0 or den_last == 0.0:
-        raise SingularParameterError(
-            f"g_factor denominator vanishes at n={n}, mu+nu={mu + nu}")
-    return (pochhammer(mu + 1, n) * pochhammer(nu + 1, n)
-            / (math.factorial(n) * den_poch) * (mu + nu + 1) / den_last)

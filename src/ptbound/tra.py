@@ -1,5 +1,6 @@
 """Series-solution assembly: maps physical parameters plus a known bound-state
-energy to basis/series parameters and evaluates the finite wavefunction series.
+energy to the basis parameters, solves the three-term recursion for the series
+coefficients and evaluates the finite wavefunction series.
 
 The energy spectrum itself always comes from the matrix solvers (dvr/hofd);
 this module only reconstructs the analytic form of each bound state. All
@@ -12,14 +13,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .errors import BranchBoundaryError, NoBranchError, TraValidityError
-from .orthopoly import Branch, TraPolyParams, _q_forward, g_factor, tra_poly_coeffs
+from .errors import TraValidityError
+from .orthopoly import _q_forward
 from .potentials import HyperbolicParams, TrigParams
 
-GAMMA = 0.25  # gamma^2 = 1/16 for both potential families
+
+class Branch(Enum):
+    TRIG = "trig"    # circular window of the paper's H_n (cos/sin)
+    HYPER = "hyper"  # hyperbolic window (cosh/sinh)
 
 
 @dataclass(frozen=True)
@@ -28,28 +33,18 @@ class TraBasisParams:
 
     mu: float
     nu: float
-    alpha: float
-    beta: float
     epsilon: float  # 2E/kappa^2 or 2E/rho^2 per family
     N_m: int
 
 
 @dataclass(frozen=True)
-class SeriesParams:
-    """Argument bundle of the series polynomials (energy-independent)."""
-
-    z: float
-    theta: float
-    branch: Branch
-
-
-@dataclass(frozen=True)
 class SeriesSolution:
-    """One bound state: energy, basis, and the finite coefficient list."""
+    """One bound state: energy, basis, the finite coefficient list and the
+    paper's branch label (None where no window applies)."""
 
     energy: float
     basis: TraBasisParams
-    series: SeriesParams
+    branch: Branch | None
     coeffs: tuple[float, ...]
 
 
@@ -72,8 +67,7 @@ def hyperbolic_basis(p: HyperbolicParams, E: float) -> TraBasisParams:
     if n_m < 0:
         raise TraValidityError(
             f"energy E={E} admits no series term (truncation index {n_m})")
-    return TraBasisParams(mu=mu, nu=nu, alpha=mu / 2.0, beta=(-nu - 0.5) / 2.0,
-                          epsilon=eps, N_m=n_m)
+    return TraBasisParams(mu=mu, nu=nu, epsilon=eps, N_m=n_m)
 
 
 def trig_basis(p: TrigParams, E: float) -> TraBasisParams:
@@ -88,12 +82,12 @@ def trig_basis(p: TrigParams, E: float) -> TraBasisParams:
     if n_m < 0:
         raise TraValidityError(
             f"energy E={E} is below the representable window (index {n_m})")
-    return TraBasisParams(mu=mu, nu=nu, alpha=(mu + 0.5) / 2.0, beta=-nu / 2.0,
-                          epsilon=eps, N_m=n_m)
+    return TraBasisParams(mu=mu, nu=nu, epsilon=eps, N_m=n_m)
 
 
 def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
-    """Which series branch the potential parameters select, or None."""
+    """The paper's branch label for the parameters (which (z, theta)
+    window they fall in), or None. The series itself needs no window."""
     if isinstance(p, HyperbolicParams):
         if 0.0 < p.A < p.V0:
             return Branch.TRIG
@@ -107,44 +101,14 @@ def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
     return None
 
 
-def series_params(p: HyperbolicParams | TrigParams) -> SeriesParams:
-    """Energy-independent polynomial argument (z, theta) for the parameter set."""
-    if isinstance(p, HyperbolicParams):
-        if p.A in (0.0, p.V0):
-            raise BranchBoundaryError(
-                f"A={p.A} sits on a branch boundary (z diverges)")
-        branch = branch_window(p)
-        if branch is None:
-            raise NoBranchError(f"A={p.A} outside both branch windows (V0={p.V0})")
-        ratio = 1.0 - 2.0 * p.A / p.V0
-        if branch is Branch.TRIG:
-            theta = math.acos(ratio)
-            z2 = 4.0 * p.kappa**4 / (p.A * (p.V0 - p.A))
-        else:
-            theta = math.acosh(ratio)
-            z2 = 4.0 * p.kappa**4 / (p.A * (p.A - p.V0))
-    else:
-        if p.C in (0.0, -p.V0):
-            raise BranchBoundaryError(
-                f"C={p.C} sits on a branch boundary (z diverges)")
-        branch = branch_window(p)
-        if branch is None:
-            raise NoBranchError(f"C={p.C} outside both branch windows (V0={p.V0})")
-        ratio = -(2.0 * p.C / p.V0 + 1.0)
-        rho4 = p.rho**4
-        if branch is Branch.TRIG:
-            theta = math.acos(ratio)
-            z2 = -4.0 * rho4 / (p.C * (p.C + p.V0))
-        else:
-            theta = math.acosh(ratio)
-            z2 = 4.0 * rho4 / (p.C * (p.C + p.V0))
-    return SeriesParams(z=math.sqrt(z2), theta=theta, branch=branch)
-
-
 def recursion_coefficients(p: HyperbolicParams | TrigParams,
                            basis: TraBasisParams):
     """Tridiagonal coefficients (g, c, d) of the coefficient recursion:
-    lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1}."""
+    lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1}.
+
+    g_N is inf where mu + nu = -2N - 2, a pole of the Q_n recursion; the
+    series coefficients need only g_0..g_{N-1}, which stay finite.
+    """
     mu, nu, n_m = basis.mu, basis.nu, basis.N_m
     if isinstance(p, HyperbolicParams):
         scale2 = p.kappa**2
@@ -156,7 +120,8 @@ def recursion_coefficients(p: HyperbolicParams | TrigParams,
     for n in range(n_m + 1):
         half = n + (mu + nu + 1.0) / 2.0
         gn = ((half**2 - 1.0 / 16.0) + shift) * (4.0 * scale2 / -p.V0)
-        gn += (nu**2 - mu**2) / ((2 * n + mu + nu) * (2 * n + mu + nu + 2))
+        den = (2 * n + mu + nu) * (2 * n + mu + nu + 2)
+        gn += (nu**2 - mu**2) / den if den else math.inf
         g.append(gn)
     for n in range(n_m):
         s = mu + nu
@@ -169,21 +134,32 @@ def recursion_coefficients(p: HyperbolicParams | TrigParams,
 
 def assemble_solution(p: HyperbolicParams | TrigParams,
                       E_m: float) -> SeriesSolution:
-    """Full series record for the bound state at energy E_m."""
+    """Full series record for the bound state at energy E_m.
+
+    The coefficients solve the recursion of `recursion_coefficients` from
+    f_0 = 1: f_{n+1} = -(g_n f_n + d_{n-1} f_{n-1}) / c_n for n < N. Inside
+    the window 2N + mu + nu + 1 < 0 every c_n is nonzero.
+
+    In the paper's notation f_n = H_n(z^-1; gamma, theta) / G_n, where
+    gamma^2 = 1/16, G_n = (mu+1)_n (nu+1)_n (mu+nu+1) / (n! (mu+nu+1)_n
+    (2n+mu+nu+1)), H_n is taken at -theta, and, for the hyperbolic family,
+    cos(theta) = 1 - 2A/V0 and z^2 = 4 kappa^4 / (A (V0 - A)) (cosh(theta)
+    and A (A - V0) where A < 0); for the finite well cos(theta) =
+    -(1 + 2C/V0) and z^2 = -4 rho^4 / (C (C + V0)) (cosh(theta) and
+    C (C + V0) where C < -V0). That form needs the parameters inside a
+    window of `branch_window`; the recursion does not.
+    """
     if isinstance(p, HyperbolicParams):
         basis = hyperbolic_basis(p, E_m)
     else:
         basis = trig_basis(p, E_m)
-    series = series_params(p)
-    # Matching the coefficient recursion to the wave equation fixes the sign
-    # of z*sin(theta): it must be negative. With z = +sqrt(z^2) and theta in
-    # its principal range, that means evaluating the recursion at -theta.
-    tp = TraPolyParams(mu=basis.mu, nu=basis.nu, gamma2=GAMMA**2,
-                       z=series.z, theta=-series.theta, branch=series.branch)
-    h = tra_poly_coeffs(tp, basis.N_m)
-    coeffs = tuple(h[n] / g_factor(n, basis.mu, basis.nu)
-                   for n in range(basis.N_m + 1))
-    return SeriesSolution(energy=E_m, basis=basis, series=series, coeffs=coeffs)
+    g, c, d = recursion_coefficients(p, basis)
+    f = [1.0]
+    for n in range(basis.N_m):
+        below = d[n - 1] * f[n - 1] if n else 0.0
+        f.append(-(g[n] * f[n] + below) / c[n])
+    return SeriesSolution(energy=E_m, basis=basis, branch=branch_window(p),
+                          coeffs=tuple(f))
 
 
 def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import runpy
 import sys
 from pathlib import Path
@@ -183,6 +184,22 @@ def test_wavefunction_metadata_and_columns(capsys):
     assert meta["N"] == 0
     assert meta["coeffs"] == [1.0]
     assert meta["branch"] == "hyper"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "hyperbolic", "--V0", "10", "--A", a, "--B", "-30", "--kappa", "1"]
+    for a in ("12", "0", "10")
+] + [["--family", "trig", "--V0", "5", "--C", "-5", "--D", "2", "--a", "1"]],
+    ids=["A12", "A0", "A10", "C-V0"])
+def test_wavefunction_outside_branch_windows(capsys, flags):
+    # the coefficient recursion needs no branch window, so these succeed
+    code, out, _ = run(capsys, "wavefunction", *flags, "--states", "0",
+                       "--samples", "50")
+    assert code == 0
+    manifest, _, rows = parse_csv(out)
+    assert json.loads(manifest["state_0"])["branch"] is None
+    assert len(rows) == 50
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_wavefunction_bad_state(capsys):

@@ -67,6 +67,21 @@ def test_solve_spectrum_residual_of_kept_pairs():
         assert dvr.solve_spectrum(h, count).max_residual == resid[:count].max()
 
 
+def test_hyperbolic_residual_of_bound_levels():
+    # the continuum pairs above E = 0 are dropped, and so is their residual
+    res = dvr.hyperbolic_spectrum(S1)
+    x = dvr.grid(dvr.DEFAULT_M_HYPERBOLIC, dvr.DEFAULT_B)
+    h = dvr.hamiltonian(dvr.kinetic_semiinfinite(dvr.DEFAULT_M_HYPERBOLIC,
+                                                 dvr.DEFAULT_B),
+                        eval_hyperbolic(S1, x))
+    w, _, resid = linalg.eig_symmetric(h)
+    kept = len(res.eigenvalues)
+    assert w[kept] >= 0.0 > w[kept - 1]
+    assert res.max_residual == resid[:kept].max()
+    assert dvr.hyperbolic_spectrum(S1, count=1).max_residual == resid[0]
+    assert dvr.hyperbolic_spectrum(S1, count=0).max_residual == 0.0
+
+
 def test_hyperbolic_spectrum_s1():
     res = dvr.hyperbolic_spectrum(S1)
     assert len(res.eigenvalues) == 3

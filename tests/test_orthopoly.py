@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate
 
 from ptbound import orthopoly as op
 from ptbound.errors import (
@@ -147,65 +147,6 @@ def test_norm_positive(case):
     except SingularParameterError:
         assume(False)  # integer nu lands on a Gamma pole, a documented error
     assert norm > 0.0
-
-
-def test_tra_poly_initial_and_first():
-    tp = op.TraPolyParams(mu=0.8, nu=-9.0, gamma2=1.0 / 16.0, z=1.3,
-                          theta=0.7, branch=op.Branch.TRIG)
-    coeffs = op.tra_poly_coeffs(tp, 3)
-    assert coeffs[0] == 1.0
-    mu, nu, z, th = tp.mu, tp.nu, tp.z, tp.theta
-    h1 = ((mu + nu + 2) / 2.0
-          * (math.cos(th) - (((mu + nu + 1) / 2.0) ** 2 - tp.gamma2) * z
-             * math.sin(th) - (nu**2 - mu**2) / ((mu + nu) * (mu + nu + 2))))
-    assert coeffs[1] == pytest.approx(h1, rel=1e-12)
-
-
-def _tra_coeffs_complex(mu, nu, g2, z, theta, nmax):
-    """Trig-branch recursion evaluated with complex (z, theta); test-local."""
-    values = [1.0 + 0.0j]
-    h_prev, h = 0.0 + 0.0j, 1.0 + 0.0j
-    import cmath
-    for n in range(nmax):
-        a, b, c = op._recursion_terms(n, mu, nu)
-        diag = ((n + (mu + nu + 1) / 2.0) ** 2 - g2) * z * cmath.sin(theta) + a
-        h, h_prev = ((cmath.cos(theta) - diag) * h - b * h_prev) / c, h
-        values.append(h)
-    return values
-
-
-def test_branch_identity():
-    # hyperbolic-branch values equal the circular recursion at (-iz, i theta)
-    mu, nu, g2, z, th = 0.5, -8.0, 1.0 / 16.0, 1.7, 0.9
-    tp = op.TraPolyParams(mu=mu, nu=nu, gamma2=g2, z=z, theta=th,
-                          branch=op.Branch.HYPER)
-    direct = op.tra_poly_coeffs(tp, 2)
-    mapped = _tra_coeffs_complex(mu, nu, g2, -1j * z, 1j * th, 2)
-    for d, m in zip(direct, mapped):
-        assert abs(m.imag) <= 1e-12 * max(1.0, abs(m))
-        assert d == pytest.approx(m.real, rel=1e-12)
-
-
-def test_g_factor_low_orders():
-    mu, nu = 0.7, -6.4
-    assert op.g_factor(0, mu, nu) == 1.0
-    expect = (mu + 1) * (nu + 1) / (mu + nu + 3)
-    assert op.g_factor(1, mu, nu) == pytest.approx(expect, rel=1e-13)
-
-
-@settings(max_examples=100, deadline=None)
-@given(admissible())
-def test_g_factor_gamma_ratio_oracle(case):
-    jp, n = case
-    mu, nu = jp.mu, jp.nu
-    got = op.g_factor(n, mu, nu)
-    gam = special.gamma
-    ref = (gam(mu + 1 + n) / gam(mu + 1) * gam(nu + 1 + n) / gam(nu + 1)
-           / (math.factorial(n) * gam(mu + nu + 1 + n) / gam(mu + nu + 1))
-           * (mu + nu + 1) / (2 * n + mu + nu + 1))
-    if not np.isfinite(ref):
-        return  # Gamma pole hit by the oracle, not by the product form
-    assert got == pytest.approx(ref, rel=1e-9)
 
 
 def test_pochhammer():
