@@ -182,9 +182,8 @@ def cmd_wavefunction(args, parser) -> int:
     states = args.states
     bad = [m for m in states if m < 0 or m >= len(bound)]
     if bad:
-        print(f"error: state index {bad[0]} outside the {len(bound)} "
-              "computed bound states", file=sys.stderr)
-        return EXIT_COMPUTE
+        raise SolverError(f"state index {bad[0]} outside the {len(bound)} "
+                          "computed bound states")
 
     x = dvr.grid(args.samples + 1, x_max)
     solutions = {m: tra.assemble_solution(p, bound[m]) for m in states}

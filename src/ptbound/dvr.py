@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .potentials import (
     ASYMPTOTE,
     HyperbolicParams,
@@ -47,7 +47,7 @@ def grid(M: int, length: float) -> np.ndarray:
 def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
     """-1/2 d^2/dx^2 on (0, inf) in the box basis, (M-1)x(M-1)."""
     if M < 3 or b <= 0:
-        raise ConfigError("need M >= 3 and b > 0")
+        raise ValueError("need M >= 3 and b > 0")
     dx = b / M
     i = np.arange(1, M, dtype=float)
     ii, jj = np.meshgrid(i, i, indexing="ij")
@@ -63,7 +63,7 @@ def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
 def kinetic_box(M: int, a: float) -> np.ndarray:
     """-1/2 d^2/dx^2 on (0, a) with hard walls, (M-1)x(M-1)."""
     if M < 3 or a <= 0:
-        raise ConfigError("need M >= 3 and a > 0")
+        raise ValueError("need M >= 3 and a > 0")
     i = np.arange(1, M, dtype=float)
     ii, jj = np.meshgrid(i, i, indexing="ij")
     sign = (-1.0) ** (ii - jj)

@@ -27,7 +27,3 @@ class NonSymmetricError(PtboundError):
 
 class SolverError(PtboundError):
     """Eigensolver failed to converge or to extract requested values."""
-
-
-class ConfigError(PtboundError):
-    """Inconsistent grid/stencil configuration."""

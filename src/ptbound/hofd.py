@@ -5,6 +5,9 @@ onto (0, 1) and discretized on a uniform grid with wide stencils of
 maximal consistency order; the finite well needs only a rescaling to
 (0, 1). The compactification scale zeta is retuned per eigenvalue
 index, so the hyperbolic operator is rebuilt for every requested level.
+Each build writes a*Delta2 + b*Delta1 + diag(V) into one array straight
+from the 2k-1 stencil weight pairs (`operator`) and samples the potential
+once, for the diagonal and for the solve's shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
@@ -24,7 +27,6 @@ import numpy as np
 
 from . import linalg
 from .dvr import SpectrumResult
-from .errors import ConfigError
 from .potentials import (
     ASYMPTOTE,
     HyperbolicParams,
@@ -46,9 +48,9 @@ class HofdConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.M < 2 * self.k + 2:
-            raise ConfigError(f"need M >= 2k + 2, got M={self.M}, k={self.k}")
+            raise ValueError(f"need M >= 2k + 2, got M={self.M}, k={self.k}")
 
     @property
     def h(self) -> float:
@@ -110,60 +112,57 @@ def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
     return np.array([row[l] for row in c])
 
 
-def delta_matrices(cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-derivative matrices on the interior nodes.
+def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
+    """a*Delta2 + b*Delta1 + diag(c) on the interior nodes, with a, b and c
+    per row (length-M arrays or scalars).
 
-    Interior rows carry the centered 2k+1 stencil; rows within k of a wall
-    use the maximally consistent one-sided stencil over the first (last)
-    2k+1 grid points. Columns for the Dirichlet endpoints s_0 and s_{M+1}
-    are dropped. The weights depend only on a row's offsets within its
-    window, so 2k-1 weight sets serve all M rows: k-1 per wall and the
-    centered one.
+    Delta1 and Delta2 are the maximally consistent first- and
+    second-derivative stencils over 2k+1 grid points. Row s_i uses the
+    window starting at s_t, t = clip(i - k, 0, M + 1 - 2k): centered away
+    from the walls, one-sided within k of them. Columns for the Dirichlet
+    endpoints s_0 and s_{M+1} are dropped. The weights depend only on where
+    s_i sits in its window, so 2k-1 weight pairs serve all M rows: k-1 per
+    wall and the centered one.
     """
     M, k, h = cfg.M, cfg.k, cfg.h
-    # rows over the grid s_0 .. s_{M+1}; the endpoint columns are cut below
-    d1 = np.zeros((M, M + 2))
-    d2 = np.zeros((M, M + 2))
-    left = list(range(0, 2 * k + 1))
-    right = list(range(M + 1 - 2 * k, M + 2))
-    for r in range(1, k):  # row s_r at the left wall, s_{M+1-r} at the right
-        d1[r - 1, left] += fd_weights(1, left, r)
-        d2[r - 1, left] += fd_weights(2, left, r)
-        d1[M - r, right] += fd_weights(1, right, M + 1 - r)
-        d2[M - r, right] += fd_weights(2, right, M + 1 - r)
-    offsets = list(range(-k, k + 1))
-    rows = np.arange(k, M + 2 - k)  # centered rows s_k .. s_{M+1-k}
-    w1 = fd_weights(1, offsets, 0)
-    w2 = fd_weights(2, offsets, 0)
-    for c, o in enumerate(offsets):
-        d1[rows - 1, rows + o] += w1[c]
-        d2[rows - 1, rows + o] += w2[c]
-    return d1[:, 1:-1] / h, d2[:, 1:-1] / h**2
+    i = np.arange(M)  # row i holds s_{i+1}
+    start = np.clip(i + 1 - k, 0, M + 1 - 2 * k)
+    window = np.arange(2 * k + 1)
+    at = i - start  # s_{i+1} is node at + 1 (1 .. 2k-1) of its window
+    w1 = np.array([fd_weights(1, window, p) for p in range(1, 2 * k)])[at] / h
+    w2 = np.array([fd_weights(2, window, p) for p in range(1, 2 * k)])[at] / h**2
+    a, b = (np.broadcast_to(x, (M,))[:, None] for x in (a, b))
+    cols = start[:, None] + window - 1  # grid index t -> interior column t-1
+    rows = np.broadcast_to(i[:, None], cols.shape)
+    inside = (cols >= 0) & (cols < M)
+    op = np.zeros((M, M))
+    # adding into zeros stores the +0.0 a dense sum would give
+    op[rows[inside], cols[inside]] += (a * w2 + b * w1)[inside]
+    op[i, i] += c
+    return op
 
 
-def _mapped_nodes(cfg: HofdConfig, z: float) -> np.ndarray:
-    """Physical coordinates x = tan(pi s / 2) / zeta of the interior nodes."""
-    return np.tan(math.pi * cfg.s / 2.0) / z
-
-
-def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig, j: int) -> np.ndarray:
-    """Compactified wave operator for the hyperbolic family at eigenvalue index j."""
+def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig,
+                        j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Compactified wave operator for the hyperbolic family at eigenvalue
+    index j, and the potential it samples at x = tan(pi s / 2) / zeta."""
     z = zeta(j)
-    s = cfg.s
-    cos_half = np.cos(math.pi * s / 2.0)
-    sin_half = np.sin(math.pi * s / 2.0)
-    a_diag = -(2.0 * z**2 / math.pi**2) * cos_half**4
-    b_diag = (2.0 * z**2 / math.pi) * cos_half**3 * sin_half
-    c_diag = eval_hyperbolic(p, _mapped_nodes(cfg, z))
-    d1, d2 = delta_matrices(cfg)
-    return a_diag[:, None] * d2 + b_diag[:, None] * d1 + np.diag(c_diag)
+    half = math.pi * cfg.s / 2.0
+    cos_half = np.cos(half)
+    v = eval_hyperbolic(p, np.tan(half) / z)
+    a = -(2.0 * z**2 / math.pi**2) * cos_half**4
+    b = (2.0 * z**2 / math.pi) * cos_half**3 * np.sin(half)
+    return operator(cfg, a, b, v), v
 
 
-def box_operator(p: TrigParams, cfg: HofdConfig) -> np.ndarray:
-    """Rescaled wave operator for the trigonometric family on (0, 1)."""
-    _, d2 = delta_matrices(cfg)
+def box_operator(p: TrigParams, cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled wave operator for the trigonometric family on (0, 1), and
+    the potential it samples at x = a s."""
     v = eval_trig(p, p.a * cfg.s)
-    return -d2 / (2.0 * p.a**2) + np.diag(v)
+    # -Delta2 divided by 2a^2: scaling by -1/(2a^2) would round differently
+    op = operator(cfg, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
+    op[np.diag_indices(cfg.M)] += v
+    return op, v
 
 
 def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = None,
@@ -185,8 +184,7 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
     max_resid = 0.0
     if isinstance(p, HyperbolicParams):
         for j in range(1, count + 1):
-            op = hyperbolic_operator(p, cfg, j)
-            v = eval_hyperbolic(p, _mapped_nodes(cfg, zeta(j)))
+            op, v = hyperbolic_operator(p, cfg, j)
             real, resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, j)
             lam = float(real[j - 1])
             if lam >= ASYMPTOTE:
@@ -194,8 +192,7 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
             max_resid = max(max_resid, resid)
             eigenvalues.append(lam)
     else:
-        op = box_operator(p, cfg)
-        v = eval_trig(p, p.a * cfg.s)
+        op, v = box_operator(p, cfg)
         real, max_resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, count)
         eigenvalues = [float(x) for x in real]
     return SpectrumResult(eigenvalues=tuple(eigenvalues),

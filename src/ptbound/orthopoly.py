@@ -68,14 +68,13 @@ def _check_degree(n: int, jp: JacobiParams):
         raise AdmissibilityError(f"degree n={n} outside [0, N={jp.N}]")
 
 
-def _q_forward(n: int, mu: float, nu: float, y: np.ndarray) -> np.ndarray:
-    """Raw forward recursion for Q_n; no admissibility policing."""
-    q_prev = np.zeros_like(y)
-    q = np.ones_like(y)
+def _q_forward(n: int, mu: float, nu: float, y: np.ndarray) -> list[np.ndarray]:
+    """Raw forward recursion for Q_0 .. Q_n; no admissibility policing."""
+    qs = [np.zeros_like(y), np.ones_like(y)]  # Q_{-1} = 0, Q_0 = 1
     for k in range(n):
         a, b, c = _recursion_terms(k, mu, nu)
-        q, q_prev = ((y - a) * q - b * q_prev) / c, q
-    return q
+        qs.append(((y - a) * qs[-1] - b * qs[-2]) / c)
+    return qs[1:]
 
 
 def jacobi_q(n: int, jp: JacobiParams, y):
@@ -84,7 +83,7 @@ def jacobi_q(n: int, jp: JacobiParams, y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 1.0):
         raise ValueError("jacobi_q requires y >= 1")
-    q = _q_forward(n, jp.mu, jp.nu, y)
+    q = _q_forward(n, jp.mu, jp.nu, y)[-1]
     return q if q.ndim else float(q)
 
 

@@ -303,26 +303,23 @@ def classify_phase(p: HyperbolicParams) -> SpectralPhase:
 
 
 def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
-             B_range: tuple[float, float], resolution: int | tuple[int, int]):
-    """Phase classification over a rectangular (A, B) grid.
+             B_range: tuple[float, float], resolution: int):
+    """Phase classification over a rectangular (A, B) grid with
+    `resolution` nodes per axis.
 
     Returns (A_values, B_values, phases, tra_rectangle) where phases is a
     (len(B), len(A)) array of Phase members and tra_rectangle holds the
     series-solution validity lines B = kappa^2/8 and A = V0.
     """
-    if isinstance(resolution, int):
-        res_a = res_b = resolution
-    else:
-        res_a, res_b = resolution
-    if res_a < 2 or res_b < 2:
+    if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
 
-    A_vals = np.linspace(A_range[0], A_range[1], res_a)
-    B_vals = np.linspace(B_range[0], B_range[1], res_b)
-    phases = np.empty((res_b, res_a), dtype=object)
-    for i in range(0, res_b, SPD_BLOCK_ROWS):
+    A_vals = np.linspace(A_range[0], A_range[1], resolution)
+    B_vals = np.linspace(B_range[0], B_range[1], resolution)
+    phases = np.empty((resolution, resolution), dtype=object)
+    for i in range(0, resolution, SPD_BLOCK_ROWS):
         rows = slice(i, i + SPD_BLOCK_ROWS)
         p = HyperbolicParams(V0=V0, A=A_vals, B=B_vals[rows, None], kappa=kappa)
-        phases[rows] = PHASES[_phases(p)[0]].reshape(-1, res_a)
+        phases[rows] = PHASES[_phases(p)[0]].reshape(-1, resolution)
     rectangle = {"B_max": kappa**2 / 8.0, "A_max": V0}
     return A_vals, B_vals, phases, rectangle

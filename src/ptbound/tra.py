@@ -192,8 +192,8 @@ def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
                      * np.sin(u) ** (mu + 0.5)
                      * np.cos(u) ** (-mu - nu - 0.5))
     series_sum = np.zeros_like(y)
-    for n, f in enumerate(sol.coeffs):
-        series_sum += f * _q_forward(n, mu, nu, y)
+    for f, q in zip(sol.coeffs, _q_forward(len(sol.coeffs) - 1, mu, nu, y)):
+        series_sum += f * q
     return x, prefactor * series_sum
 
 

@@ -69,8 +69,7 @@ def test_criterion_3_table2():
 
 def test_criterion_4_free_box():
     cfg = hofd.HofdConfig(M=300, k=4)
-    _, d2 = hofd.delta_matrices(cfg)
-    op = -d2 / 2.0  # V = 0, a = 1
+    op = hofd.operator(cfg, -0.5, 0.0, 0.0)  # V = 0, a = 1
     from ptbound import linalg
     w, _ = linalg.eig_general(op)
     levels = linalg.near_real_sorted(w)[:5]

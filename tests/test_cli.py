@@ -129,6 +129,17 @@ def test_grid_M_below_one_usage_error(capsys, command, grid_M):
     assert out == "" and "--grid-M must be >= 1" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--stencil-k", "0"], ["--box-b", "0"], ["--grid-M", "2", "--method", "dvr"],
+    ["--grid-M", "5", "--method", "hofd"]], ids=["k0", "b0", "dvr-M2", "hofd-M5"])
+def test_grid_and_stencil_usage_error(capsys, flags):
+    # grid and stencil flags the solvers reject once exited 3, as if a
+    # computation had failed
+    code, out, err = run(capsys, "spectrum", *S1_FLAGS, *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_wavefunction_profiles_samples_below_one(capsys, monkeypatch, samples):
     # the script once printed nodes=0 for every state and exited 0

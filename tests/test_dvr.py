@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptbound import dvr, linalg
-from ptbound.errors import ConfigError, DomainError
+from ptbound.errors import DomainError
 from ptbound.potentials import HyperbolicParams, TrigParams, eval_hyperbolic
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
@@ -36,7 +36,7 @@ def test_kinetic_limit_consistency():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         dvr.kinetic_semiinfinite(2, 1.0)
 
 

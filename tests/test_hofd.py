@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ptbound import hofd, linalg, reference
-from ptbound.errors import ConfigError
 from ptbound.potentials import HyperbolicParams, TrigParams
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
@@ -17,9 +16,9 @@ S4 = TrigParams(V0=5.0, C=-2.0, D=2.0, a=1.0)
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         hofd.HofdConfig(M=5, k=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         hofd.HofdConfig(M=100, k=0)
     cfg = hofd.HofdConfig(M=9, k=2)
     assert cfg.h == 0.1
@@ -87,7 +86,7 @@ def test_fd_weights_exact():
 
 def test_delta_matrices_k1_tridiagonal():
     cfg = hofd.HofdConfig(M=6, k=1)
-    _, d2 = hofd.delta_matrices(cfg)
+    d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
     lap = (np.diag([-2.0] * 6) + np.diag([1.0] * 5, 1)
            + np.diag([1.0] * 5, -1)) / cfg.h**2
     assert np.abs(d2 - lap).max() == 0.0
@@ -95,7 +94,8 @@ def test_delta_matrices_k1_tridiagonal():
 
 def test_delta_matrices_moment_conditions():
     cfg = hofd.HofdConfig(M=40, k=3)
-    d1, d2 = hofd.delta_matrices(cfg)
+    d1 = hofd.operator(cfg, 0.0, 1.0, 0.0)
+    d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
     s = cfg.s
     # rows whose stencil window avoids the Dirichlet endpoints see the full
     # moment conditions: Delta1 kills constants, Delta2 on s^2 gives 2
@@ -111,7 +111,7 @@ def test_consistency_order():
     errs = []
     for m in (64, 128, 256):
         cfg = hofd.HofdConfig(M=m, k=k)
-        _, d2 = hofd.delta_matrices(cfg)
+        d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
         f = np.sin(math.pi * cfg.s)
         errs.append(np.abs(d2 @ f + math.pi**2 * f).max())
     for e0, e1 in zip(errs, errs[1:]):
@@ -120,7 +120,7 @@ def test_consistency_order():
 
 def test_hyperbolic_operator_nonsymmetric():
     cfg = hofd.HofdConfig(M=50, k=2)
-    j = hofd.hyperbolic_operator(S1, cfg, 1)
+    j, _ = hofd.hyperbolic_operator(S1, cfg, 1)
     assert np.abs(j - j.T).max() > 0.0
 
 
@@ -185,13 +185,20 @@ def _delta_matrices_by_row(cfg):
     return d1 / h, d2 / h**2
 
 
-@pytest.mark.parametrize("M,k", [(9, 2), (10, 4), (12, 1), (40, 3), (60, 4),
-                                 (500, 4), (1000, 4)])
+@pytest.mark.parametrize("M,k", [
+    (9, 2), (10, 4), (12, 1), (20, 3), (40, 1), (40, 3), (60, 4), (200, 6),
+    (250, 4), (300, 7), (500, 2), (500, 4), (500, 8), (1000, 4)])
 def test_delta_matrices_match_row_by_row(M, k):
+    # the operator is a*D2 + b*D1 + diag(c) over the reference matrices,
+    # bitwise, signed zeros included; the box operator is -D2/(2a^2) + diag(V)
     cfg = hofd.HofdConfig(M=M, k=k)
-    for got, ref in zip(hofd.delta_matrices(cfg), _delta_matrices_by_row(cfg)):
-        assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()  # bitwise, signed zeros included
+    d1, d2 = _delta_matrices_by_row(cfg)
+    a, b, c = np.random.default_rng(100 * M + k).uniform(-5.0, 5.0, (3, M))
+    want = a[:, None] * d2 + b[:, None] * d1 + np.diag(c)
+    assert hofd.operator(cfg, a, b, c).tobytes() == want.tobytes()
+    p = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.037)
+    op, v = hofd.box_operator(p, cfg)
+    assert op.tobytes() == (-d2 / (2.0 * p.a**2) + np.diag(v)).tobytes()
 
 
 def _dense_levels(p, cfg, count):
@@ -199,7 +206,7 @@ def _dense_levels(p, cfg, count):
     zeta(j) operator, j = 1..count, up to the first continuum artifact."""
     levels = []
     for j in range(1, count + 1):
-        w, _ = linalg.eig_general(hofd.hyperbolic_operator(p, cfg, j))
+        w, _ = linalg.eig_general(hofd.hyperbolic_operator(p, cfg, j)[0])
         lam = linalg.near_real_sorted(w)[j - 1]
         if lam >= 0.0:
             break
@@ -239,7 +246,7 @@ def test_finite_well_levels_match_dense_eig(p, M):
     # the operator's own conditioning limits agreement to about 1e-6
     cfg = hofd.HofdConfig(M=M)
     got = hofd.hofd_spectrum(p, cfg, count=10).eigenvalues
-    w, _ = linalg.eig_general(hofd.box_operator(p, cfg))
+    w, _ = linalg.eig_general(hofd.box_operator(p, cfg)[0])
     ref = linalg.near_real_sorted(w)[:10]
     assert len(got) == 10
     for g, r in zip(got, ref):

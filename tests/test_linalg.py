@@ -3,7 +3,6 @@ import pytest
 
 from ptbound import hofd, linalg, reference
 from ptbound.errors import NonSymmetricError, SolverError
-from ptbound.potentials import eval_hyperbolic, eval_trig
 
 
 def test_eig_symmetric_identity():
@@ -153,8 +152,8 @@ def test_half_bandwidth():
 def test_half_bandwidth_of_hofd_operator(k):
     # the one-sided wall stencils over 2k + 1 points reach 2k - 1 columns
     # past the diagonal once the Dirichlet end column is cut
-    op = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"],
-                                  hofd.HofdConfig(M=60, k=k), 1)
+    op, _ = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"],
+                                     hofd.HofdConfig(M=60, k=k), 1)
     assert linalg.half_bandwidth(op) == 2 * k - 1
 
 
@@ -173,13 +172,11 @@ def test_eig_shift_invert_tridiagonal_toeplitz():
 
 def _hofd_cases(M):
     cfg = hofd.HofdConfig(M=M)
-    s1 = reference.HYPERBOLIC_SETS["S1"]
     for j in (1, 2, 3):
-        v = eval_hyperbolic(s1, hofd._mapped_nodes(cfg, hofd.zeta(j)))
-        yield hofd.hyperbolic_operator(s1, cfg, j), float(v.min()) - 1.0, j
-    s3 = reference.TRIG_SETS["S3"]
-    v = eval_trig(s3, s3.a * cfg.s)
-    yield hofd.box_operator(s3, cfg), float(v.min()) - 1.0, 10
+        op, v = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], cfg, j)
+        yield op, float(v.min()) - 1.0, j
+    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], cfg)
+    yield op, float(v.min()) - 1.0, 10
 
 
 def test_eig_shift_invert_blocks_match_single_block(monkeypatch):

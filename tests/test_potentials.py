@@ -216,11 +216,13 @@ def test_a_plus_b_nonnegative_never_bound(v0, a, b, kappa):
 
 def test_spd_grid_node_and_determinism():
     a_vals, b_vals, phases, rect = spd_grid(
-        10.0, 1.0, (-20.0, 0.0), (-30.0, 0.0), (3, 4))
-    assert phases.shape == (4, 3)
-    assert phases[0, 0] is Phase.B  # node (A, B) = (-20, -30)
+        10.0, 1.0, (-40.0, 20.0), (-30.0, 10.0), 4)
+    assert phases.shape == (4, 4)
+    assert phases[0, 0] is Phase.B  # node (A, B) = (-40, -30)
+    # rows run over B: (A, B) = (20, -50/3) is S, its transpose (-20, 10) is B
+    assert phases[1, 3] is Phase.S and phases[3, 1] is Phase.B
     assert rect == {"B_max": 0.125, "A_max": 10.0}
-    again = spd_grid(10.0, 1.0, (-20.0, 0.0), (-30.0, 0.0), (3, 4))
+    again = spd_grid(10.0, 1.0, (-40.0, 20.0), (-30.0, 10.0), 4)
     assert (again[2] == phases).all()
 
 
@@ -257,7 +259,7 @@ def test_spd_grid_matches_numpy_roots(V0):
     rng = np.random.default_rng(int(V0 * 10))
     kappa = float(rng.uniform(0.5, 1.5))
     a_vals, b_vals, phases, _ = spd_grid(V0, kappa, (-60.0, 40.0),
-                                         (-60.0, 40.0), (60, 50))
+                                         (-60.0, 40.0), 60)
     bad = [(a, b) for i, b in enumerate(b_vals) for j, a in enumerate(a_vals)
            if phases[i, j] is not oracle_phase(V0, a, b)]
     assert bad == []
