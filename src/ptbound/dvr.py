@@ -3,8 +3,13 @@
 Particle-in-a-box DVR: the kinetic energy matrix is analytic, the
 potential is diagonal at the grid nodes. Two kinetic operators are
 provided: one for the semi-infinite line (hyperbolic family) and one
-for a finite box (trigonometric family). The index range 1..M-1 keeps
-the grid away from the singular endpoints automatically.
+for a finite box (trigonometric family), both Colbert-Miller closed
+forms (J. Chem. Phys. 96, 1982 (1992)). Off the diagonal each is a
+Toeplitz part minus a Hankel part of one signed 1-D table over
+n = 0..2M-2. The index range 1..M-1 keeps the grid away from the
+singular endpoints automatically. A spectrum keeps the lowest levels
+(under an asymptote, for the hyperbolic family), and the eigen-residual
+contract covers exactly those kept pairs.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .errors import DomainError
@@ -44,35 +50,45 @@ def grid(M: int, length: float) -> np.ndarray:
     return np.arange(1, M) * (length / M)
 
 
+def _toeplitz_minus_hankel(table: np.ndarray) -> np.ndarray:
+    """The (M-1)x(M-1) matrix s(|i-j|) - s(i+j), i, j = 1..M-1, with
+    s(n) = (-1)^n table[n] over n = 0..2M-2. The sign is applied to the
+    table in place; the Hankel part is a strided view of it and the
+    Toeplitz part one of its mirror, so the matrix costs one subtraction."""
+    n = (len(table) - 1) // 2
+    table[1::2] *= -1.0
+    mirrored = np.concatenate((table[n - 1:0:-1], table[:n]))
+    toeplitz = sliding_window_view(mirrored, n)[::-1]
+    hankel = sliding_window_view(table[2:], n)
+    return toeplitz - hankel
+
+
 def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
-    """-1/2 d^2/dx^2 on (0, inf) in the box basis, (M-1)x(M-1)."""
+    """-1/2 d^2/dx^2 on (0, inf) in the box basis, (M-1)x(M-1): entry
+    (-1)^(i-j) (g(|i-j|) - g(i+j)) / dx^2 off the diagonal, g(n) = 1/n^2."""
     if M < 3 or b <= 0:
         raise ValueError("need M >= 3 and b > 0")
     dx = b / M
-    i = np.arange(1, M, dtype=float)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    sign = (-1.0) ** (ii - jj)
+    n = np.arange(2 * M - 1, dtype=float)
     with np.errstate(divide="ignore"):
-        off = 1.0 / (ii - jj) ** 2 - 1.0 / (ii + jj) ** 2
-    diag = math.pi**2 / 6.0 - 1.0 / (4.0 * i**2)
-    t = sign * off
-    np.fill_diagonal(t, diag)
+        t = _toeplitz_minus_hankel(1.0 / n**2)
+    i = np.arange(1, M, dtype=float)
+    np.fill_diagonal(t, math.pi**2 / 6.0 - 1.0 / (4.0 * i**2))
     return t / dx**2
 
 
 def kinetic_box(M: int, a: float) -> np.ndarray:
-    """-1/2 d^2/dx^2 on (0, a) with hard walls, (M-1)x(M-1)."""
+    """-1/2 d^2/dx^2 on (0, a) with hard walls, (M-1)x(M-1): entry
+    (-1)^(i-j) (g(|i-j|) - g(i+j)) pi^2/(4a^2) off the diagonal,
+    g(n) = 1/sin^2(n pi/2M)."""
     if M < 3 or a <= 0:
         raise ValueError("need M >= 3 and a > 0")
-    i = np.arange(1, M, dtype=float)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    sign = (-1.0) ** (ii - jj)
+    n = np.arange(2 * M - 1, dtype=float)
     with np.errstate(divide="ignore"):
-        off = (1.0 / np.sin((ii - jj) * math.pi / (2 * M)) ** 2
-               - 1.0 / np.sin((ii + jj) * math.pi / (2 * M)) ** 2)
-    diag = (2.0 * M**2 + 1.0) / 3.0 - 1.0 / np.sin(i * math.pi / M) ** 2
-    t = sign * off
-    np.fill_diagonal(t, diag)
+        t = _toeplitz_minus_hankel(1.0 / np.sin(n * math.pi / (2 * M)) ** 2)
+    i = np.arange(1, M, dtype=float)
+    np.fill_diagonal(t, (2.0 * M**2 + 1.0) / 3.0
+                     - 1.0 / np.sin(i * math.pi / M) ** 2)
     return t * math.pi**2 / (4.0 * a**2)
 
 
@@ -88,15 +104,16 @@ def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarra
     return h
 
 
-def solve_spectrum(h: np.ndarray, count: int, config: dict | None = None,
+def solve_spectrum(h: np.ndarray, count: int | None,
+                   config: dict | None = None,
                    below: float = math.inf) -> SpectrumResult:
-    """The `count` lowest eigenvalues under `below` of a symmetric
-    Hamiltonian, ascending, with the largest eigen-residual among them."""
-    w, _, resid = linalg.eig_symmetric(h)
-    count = min(count, int(np.count_nonzero(w < below)))
-    return SpectrumResult(eigenvalues=tuple(float(x) for x in w[:count]),
+    """The `count` lowest eigenvalues under `below` (all of them if `count`
+    is None) of a symmetric Hamiltonian, ascending, with the largest
+    eigen-residual among them."""
+    w, _, resid = linalg.eig_symmetric(h, count, below)
+    return SpectrumResult(eigenvalues=tuple(float(x) for x in w),
                           config=dict(config or {}),
-                          max_residual=float(resid[:count].max(initial=0.0)))
+                          max_residual=float(resid.max(initial=0.0)))
 
 
 def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
@@ -110,8 +127,7 @@ def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
         raise ValueError("count must be >= 0")
     x = grid(M, b)
     h = hamiltonian(kinetic_semiinfinite(M, b), eval_hyperbolic(p, x))
-    return solve_spectrum(h, M - 1 if count is None else count,
-                          config={"M": M, "b": b}, below=ASYMPTOTE)
+    return solve_spectrum(h, count, config={"M": M, "b": b}, below=ASYMPTOTE)
 
 
 def trig_spectrum(p: TrigParams, M: int = DEFAULT_M_TRIG, count: int = 10,

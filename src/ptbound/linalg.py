@@ -1,16 +1,18 @@
 """Eigensolvers with explicit residual contracts.
 
 Thin wrappers over the LAPACK eigensolvers (via numpy) that enforce the
-accuracy contracts the solver modules rely on: symmetry checks on input,
-residual and orthonormality checks on output. Tolerances are relative to
-the max-row-sum norm so they stay scale-free across grids. The
-nonsymmetric eigensolve that needs only the few eigenvalues nearest a
-shift is a shift-invert Arnoldi iteration on numpy alone. Its shifted
-matrix is factored block by block: the half-bandwidth p is read from the
-matrix's nonzeros, the rows are cut into blocks of at least max(BLOCK, p)
-rows, so the matrix is block tridiagonal, and only those blocks are
-inverted. A dense or small matrix is a single block, whose factor is its
-plain inverse.
+accuracy contracts the solver modules rely on. The symmetric solve checks
+its input's symmetry and, on output, the residual |a v - w v| of each
+eigenpair it returns (the kept ones only); the shift-invert solve checks
+the residual of each pair it returns. Orthonormality of the eigenvectors
+is not checked. Tolerances are relative to the max-row-sum norm so they
+stay scale-free across grids. The nonsymmetric eigensolve that needs only
+the few eigenvalues nearest a shift is a shift-invert Arnoldi iteration on
+numpy alone. Its shifted matrix is factored block by block: the
+half-bandwidth p is read from the matrix's nonzeros, the rows are cut into
+blocks of at least max(BLOCK, p) rows, so the matrix is block tridiagonal,
+and only those blocks are inverted. A dense or small matrix is a single
+block, whose factor is its plain inverse.
 """
 
 from __future__ import annotations
@@ -34,9 +36,17 @@ def matrix_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
 
 
-def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending), orthonormal eigenvectors (columns) and each
-    pair's residual max|a v - w v| of a symmetric matrix."""
+def eig_symmetric(a: np.ndarray, count: int | None = None,
+                  below: float = np.inf) -> tuple[np.ndarray, np.ndarray,
+                                                    np.ndarray]:
+    """The `count` lowest eigenvalues under `below` of a symmetric matrix
+    (all of them if `count` is None), ascending, their orthonormal
+    eigenvectors (columns) and each returned pair's residual
+    max|a v - w v|.
+
+    The symmetry check and the eigensolve cover the whole matrix; the
+    residual contract is evaluated on, and covers, the returned pairs only.
+    """
     a = np.asarray(a, dtype=float)
     norm = matrix_norm(a)
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(norm, 1.0):
@@ -45,8 +55,12 @@ def eig_symmetric(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigensolve failed: {exc}") from exc
+    k = int(np.count_nonzero(w < below))
+    if count is not None:
+        k = min(count, k)
+    w, v = w[:k], v[:, :k]
     resid = np.abs(a @ v - v * w).max(axis=0)
-    if resid.max() > RESIDUAL_RTOL * max(norm, 1.0):
+    if resid.max(initial=0.0) > RESIDUAL_RTOL * max(norm, 1.0):
         raise SolverError(f"eigenpair residual {resid.max():.3e} exceeds contract")
     return w, v, resid
 

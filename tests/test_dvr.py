@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptbound import dvr, linalg
-from ptbound.errors import DomainError
+from ptbound.errors import DomainError, SolverError
 from ptbound.potentials import HyperbolicParams, TrigParams, eval_hyperbolic
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
@@ -35,9 +35,48 @@ def test_kinetic_limit_consistency():
     assert abs(kb - ks) <= 1e-4 * abs(ks)
 
 
+def _kinetic_semiinfinite_oracle(M, b):
+    # the elementwise meshgrid build the 1-D table replaced
+    dx = b / M
+    i = np.arange(1, M, dtype=float)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    sign = (-1.0) ** (ii - jj)
+    with np.errstate(divide="ignore"):
+        off = 1.0 / (ii - jj) ** 2 - 1.0 / (ii + jj) ** 2
+    t = sign * off
+    np.fill_diagonal(t, math.pi**2 / 6.0 - 1.0 / (4.0 * i**2))
+    return t / dx**2
+
+
+def _kinetic_box_oracle(M, a):
+    i = np.arange(1, M, dtype=float)
+    ii, jj = np.meshgrid(i, i, indexing="ij")
+    sign = (-1.0) ** (ii - jj)
+    with np.errstate(divide="ignore"):
+        off = (1.0 / np.sin((ii - jj) * math.pi / (2 * M)) ** 2
+               - 1.0 / np.sin((ii + jj) * math.pi / (2 * M)) ** 2)
+    t = sign * off
+    np.fill_diagonal(t, (2.0 * M**2 + 1.0) / 3.0
+                     - 1.0 / np.sin(i * math.pi / M) ** 2)
+    return t * math.pi**2 / (4.0 * a**2)
+
+
+@pytest.mark.parametrize("M", [3, 4, 5, 64, 201, 301, 800])
+@pytest.mark.parametrize("length", [1.0, 40.0])
+def test_kinetic_bitwise_elementwise_oracle(M, length):
+    # Toeplitz minus Hankel views of one table round every entry as the
+    # elementwise formulas do, so the eigenvalues cannot move
+    assert np.array_equal(dvr.kinetic_semiinfinite(M, length),
+                          _kinetic_semiinfinite_oracle(M, length))
+    assert np.array_equal(dvr.kinetic_box(M, length),
+                          _kinetic_box_oracle(M, length))
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        dvr.kinetic_semiinfinite(2, 1.0)
+    for kinetic in (dvr.kinetic_semiinfinite, dvr.kinetic_box):
+        for M, length in ((2, 1.0), (1, 1.0), (10, 0.0), (10, -1.0)):
+            with pytest.raises(ValueError):
+                kinetic(M, length)
 
 
 def test_hamiltonian_assembly():
@@ -58,13 +97,24 @@ def test_solve_spectrum_diagonal():
     assert res.eigenvalues == (1.0, 4.0)
 
 
+def _box_hamiltonian():
+    return dvr.hamiltonian(dvr.kinetic_box(40, 1.0), np.linspace(-5.0, 5.0, 39))
+
+
+def _max_residual(h, w, v, k):
+    # the contract's product, formed independently on the k lowest pairs
+    return np.abs(h @ v[:, :k] - v[:, :k] * w[:k]).max(initial=0.0)
+
+
 def test_solve_spectrum_residual_of_kept_pairs():
     # the largest residual among the `count` kept pairs, not all pairs
-    h = dvr.hamiltonian(dvr.kinetic_box(40, 1.0), np.linspace(-5.0, 5.0, 39))
-    _, _, resid = linalg.eig_symmetric(h)
+    h = _box_hamiltonian()
+    w, v = np.linalg.eigh(h)
     assert dvr.solve_spectrum(h, 0).max_residual == 0.0
     for count in (1, 3, 39):
-        assert dvr.solve_spectrum(h, count).max_residual == resid[:count].max()
+        res = dvr.solve_spectrum(h, count)
+        assert res.eigenvalues == tuple(w[:count])
+        assert res.max_residual == _max_residual(h, w, v, count)
 
 
 def test_hyperbolic_residual_of_bound_levels():
@@ -74,12 +124,49 @@ def test_hyperbolic_residual_of_bound_levels():
     h = dvr.hamiltonian(dvr.kinetic_semiinfinite(dvr.DEFAULT_M_HYPERBOLIC,
                                                  dvr.DEFAULT_B),
                         eval_hyperbolic(S1, x))
-    w, _, resid = linalg.eig_symmetric(h)
+    w, v = np.linalg.eigh(h)
     kept = len(res.eigenvalues)
     assert w[kept] >= 0.0 > w[kept - 1]
-    assert res.max_residual == resid[:kept].max()
-    assert dvr.hyperbolic_spectrum(S1, count=1).max_residual == resid[0]
+    assert res.eigenvalues == tuple(w[:kept])
+    assert res.max_residual == _max_residual(h, w, v, kept)
+    assert (dvr.hyperbolic_spectrum(S1, count=1).max_residual
+            == _max_residual(h, w, v, 1))
     assert dvr.hyperbolic_spectrum(S1, count=0).max_residual == 0.0
+
+
+def test_residual_contract_covers_kept_pairs_only(monkeypatch):
+    # a wrong eigenvector among the returned pairs fails the contract; one
+    # among the dropped pairs is never used, so it is not checked
+    h = _box_hamiltonian()
+    eigh = np.linalg.eigh
+
+    def corrupted(column):
+        def solve(a):
+            w, v = eigh(a)
+            v[:, column] = v[:, column + 1]
+            return w, v
+        return solve
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted(2))
+    with pytest.raises(SolverError):
+        dvr.solve_spectrum(h, 3)
+    with pytest.raises(SolverError):
+        linalg.eig_symmetric(h)
+    monkeypatch.setattr(np.linalg, "eigh", corrupted(3))
+    res = dvr.solve_spectrum(h, 3)
+    assert res.eigenvalues == tuple(eigh(h)[0][:3])
+    w, v, resid = linalg.eig_symmetric(h, 3)
+    assert w.shape == (3,) and v.shape == (39, 3) and resid.shape == (3,)
+
+
+def test_count_zero_keeps_no_pair():
+    h = _box_hamiltonian()
+    w, v, resid = linalg.eig_symmetric(h, 0)
+    assert w.shape == (0,) and v.shape == (39, 0) and resid.shape == (0,)
+    res = dvr.solve_spectrum(h, 0)
+    assert res.eigenvalues == () and res.max_residual == 0.0
+    w, _, resid = linalg.eig_symmetric(h, below=-math.inf)
+    assert w.shape == (0,) and resid.shape == (0,)
 
 
 def test_hyperbolic_spectrum_s1():
