@@ -178,8 +178,11 @@ def cmd_wavefunction(args, parser) -> int:
         x_max, abscissa, scale = args.box_b, "kappa*x", p.kappa
     else:
         x_max, abscissa, scale = p.a, "x/a", 1.0 / p.a
-    bound = _dvr(p, args.count, args.grid_M, args.box_b).eigenvalues
     states = args.states
+    # every bound level of the hyperbolic family; the finite well's levels
+    # never end, so it keeps those up to the highest state asked for
+    count = None if isinstance(p, HyperbolicParams) else max(0, *states) + 1
+    bound = _dvr(p, count, args.grid_M, args.box_b).eigenvalues
     bad = [m for m in states if m < 0 or m >= len(bound)]
     if bad:
         raise SolverError(f"state index {bad[0]} outside the {len(bound)} "
@@ -200,7 +203,7 @@ def cmd_wavefunction(args, parser) -> int:
         manifest[f"state_{m}"] = json.dumps({
             "E": sol.energy, "mu": sol.basis.mu, "nu": sol.basis.nu,
             "N": sol.basis.N_m, "branch": sol.branch and sol.branch.value,
-            "coeffs": list(sol.coeffs)})
+            "coeffs": list(sol.coeffs), "nodes": tra.count_nodes(psi[m])})
     _emit(manifest, columns, rows, args.format, args.out)
     return EXIT_OK
 
@@ -295,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_wf)
     p_wf.add_argument("--states", type=int, nargs="+", required=True)
     p_wf.add_argument("--samples", type=int, default=500)
-    p_wf.add_argument("--count", type=int, default=None)
     p_wf.add_argument("--grid-M", type=int, default=None, dest="grid_M")
     p_wf.add_argument("--box-b", type=float, default=dvr.DEFAULT_B, dest="box_b")
     _add_output_flags(p_wf)

@@ -21,7 +21,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
-from .errors import DomainError
 from .potentials import (
     ASYMPTOTE,
     HyperbolicParams,
@@ -66,8 +65,8 @@ def _toeplitz_minus_hankel(table: np.ndarray) -> np.ndarray:
 def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
     """-1/2 d^2/dx^2 on (0, inf) in the box basis, (M-1)x(M-1): entry
     (-1)^(i-j) (g(|i-j|) - g(i+j)) / dx^2 off the diagonal, g(n) = 1/n^2."""
-    if M < 3 or b <= 0:
-        raise ValueError("need M >= 3 and b > 0")
+    if M < 3 or not 0 < b < math.inf:
+        raise ValueError(f"need M >= 3 and finite b > 0, got M={M}, b={b}")
     dx = b / M
     n = np.arange(2 * M - 1, dtype=float)
     with np.errstate(divide="ignore"):
@@ -81,8 +80,8 @@ def kinetic_box(M: int, a: float) -> np.ndarray:
     """-1/2 d^2/dx^2 on (0, a) with hard walls, (M-1)x(M-1): entry
     (-1)^(i-j) (g(|i-j|) - g(i+j)) pi^2/(4a^2) off the diagonal,
     g(n) = 1/sin^2(n pi/2M)."""
-    if M < 3 or a <= 0:
-        raise ValueError("need M >= 3 and a > 0")
+    if M < 3 or not 0 < a < math.inf:
+        raise ValueError(f"need M >= 3 and finite a > 0, got M={M}, a={a}")
     n = np.arange(2 * M - 1, dtype=float)
     with np.errstate(divide="ignore"):
         t = _toeplitz_minus_hankel(1.0 / np.sin(n * math.pi / (2 * M)) ** 2)
@@ -97,8 +96,6 @@ def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarra
     v = np.asarray(potential_on_grid, dtype=float)
     if v.shape != (kinetic.shape[0],):
         raise ValueError("potential sample count must match the kinetic matrix")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("potential is non-finite at a grid node")
     h = kinetic.copy()
     h[np.diag_indices_from(h)] += v
     return h
@@ -109,11 +106,10 @@ def solve_spectrum(h: np.ndarray, count: int | None,
                    below: float = math.inf) -> SpectrumResult:
     """The `count` lowest eigenvalues under `below` (all of them if `count`
     is None) of a symmetric Hamiltonian, ascending, with the largest
-    eigen-residual among them."""
-    w, _, resid = linalg.eig_symmetric(h, count, below)
+    eigen-residual among them, relative to max(|h|, 1)."""
+    w, _, worst = linalg.eig_symmetric(h, count, below)
     return SpectrumResult(eigenvalues=tuple(float(x) for x in w),
-                          config=dict(config or {}),
-                          max_residual=float(resid.max(initial=0.0)))
+                          config=dict(config or {}), max_residual=worst)
 
 
 def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,

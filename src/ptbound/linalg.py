@@ -1,22 +1,23 @@
-"""Eigensolvers with explicit residual contracts.
+"""Eigensolvers with one eigenpair contract.
 
-Thin wrappers over the LAPACK eigensolvers (via numpy) that enforce the
-accuracy contracts the solver modules rely on. The symmetric solve checks
-its input's symmetry and, on output, the residual |a v - w v| of each
-eigenpair it returns (the kept ones only); the shift-invert solve checks
-the residual of each pair it returns. Orthonormality of the eigenvectors
-is not checked. Tolerances are relative to the max-row-sum norm so they
-stay scale-free across grids. The nonsymmetric eigensolve that needs only
-the few eigenvalues nearest a shift is a shift-invert Arnoldi iteration on
-numpy alone. Its shifted matrix is factored block by block: the
-half-bandwidth p is read from the matrix's nonzeros, the rows are cut into
-blocks of at least max(BLOCK, p) rows, so the matrix is block tridiagonal,
-and only those blocks are inverted. A dense or small matrix is a single
-block, whose factor is its plain inverse.
+Thin wrappers over the LAPACK eigensolvers (via numpy). Both the symmetric
+solve (DVR) and the shift-invert solve (HOFD) first take the max-row-sum
+norm |a| and raise SolverError if it is not finite, as they do when LAPACK
+fails. Both hold every pair they return to one contract, `_residual`:
+max|a x - lambda x| / max(|a|, 1) <= RESIDUAL_RTOL over unit x, and report
+that relative residual, so the two solvers print it on one scale. The
+symmetric solve also checks symmetry; orthonormality is not checked. The
+few eigenvalues nearest a shift of a nonsymmetric matrix come from a
+shift-invert Arnoldi iteration on numpy alone. Its shifted matrix is
+factored block by block: the half-bandwidth p is read from the matrix's
+nonzeros and the rows are cut into blocks of at least max(BLOCK, p) rows,
+so only the blocks of a block tridiagonal matrix are inverted (a dense or
+small matrix is one block, factored by its plain inverse).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -32,20 +33,32 @@ BLOCK = 64  # least rows per block of the banded shifted factorization
 
 
 def matrix_norm(a: np.ndarray) -> float:
-    """Max-row-sum (infinity) norm."""
-    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
+    """Max-row-sum (infinity) norm; SolverError if it is not finite (an inf
+    or nan entry, or a row sum that overflows)."""
+    norm = float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
+    if not math.isfinite(norm):
+        raise SolverError(f"matrix is not finite: max-row-sum norm {norm}")
+    return norm
+
+
+def _residual(a: np.ndarray, x: np.ndarray, lam: np.ndarray, norm: float) -> float:
+    """The eigenpair contract: max|a x - lambda x| over the unit columns x,
+    relative to max(norm, 1), 0.0 for no pairs. SolverError unless it is
+    at most RESIDUAL_RTOL (nan included)."""
+    worst = float(np.abs(a @ x - x * lam).max(initial=0.0)) / max(norm, 1.0)
+    if not worst <= RESIDUAL_RTOL:
+        raise SolverError(f"eigenpair residual {worst:.3e} exceeds contract")
+    return worst
 
 
 def eig_symmetric(a: np.ndarray, count: int | None = None,
-                  below: float = np.inf) -> tuple[np.ndarray, np.ndarray,
-                                                    np.ndarray]:
+                  below: float = np.inf) -> tuple[np.ndarray, np.ndarray, float]:
     """The `count` lowest eigenvalues under `below` of a symmetric matrix
     (all of them if `count` is None), ascending, their orthonormal
-    eigenvectors (columns) and each returned pair's residual
-    max|a v - w v|.
+    eigenvectors (columns) and the largest `_residual` among them.
 
-    The symmetry check and the eigensolve cover the whole matrix; the
-    residual contract is evaluated on, and covers, the returned pairs only.
+    The norm, symmetry check and eigensolve cover the whole matrix; the
+    residual contract covers the returned pairs only.
     """
     a = np.asarray(a, dtype=float)
     norm = matrix_norm(a)
@@ -59,10 +72,7 @@ def eig_symmetric(a: np.ndarray, count: int | None = None,
     if count is not None:
         k = min(count, k)
     w, v = w[:k], v[:, :k]
-    resid = np.abs(a @ v - v * w).max(axis=0)
-    if resid.max(initial=0.0) > RESIDUAL_RTOL * max(norm, 1.0):
-        raise SolverError(f"eigenpair residual {resid.max():.3e} exceeds contract")
-    return w, v, resid
+    return w, v, _residual(a, v, w, norm)
 
 
 def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,24 +170,22 @@ def eig_shift_invert(a: np.ndarray, sigma: float,
 
     Shift-invert Arnoldi: with B = (a - sigma I)^-1 the eigenvalues nearest
     sigma become the largest eigenvalues theta of B and converge first in
-    its Krylov space. B is never formed: `shifted_solver` factors
-    a - sigma I once, block by block over the band it reads from a's
-    nonzeros, and each Krylov step applies B as two sweeps over the blocks
-    (a single block, for a dense or small a, is the plain inverse). A
-    singular block raises SolverError. The orthonormal basis grows
-    KRYLOV_STEP vectors at a time (two-pass Gram-Schmidt from a fixed random
-    start); after each step the Ritz values of B map back by
+    its Krylov space. B is never formed: each Krylov step applies it as two
+    sweeps over the blocks `shifted_solver` factors once. The orthonormal
+    basis grows KRYLOV_STEP vectors at a time (two-pass Gram-Schmidt from a
+    fixed random start); after each step the Ritz pairs of B map back by
     lambda = sigma + 1/theta. The values are accepted once the `count`
     smallest near-real ones agree with the previous step's to RITZ_RTOL
     relative to |lambda - sigma|, or once the basis spans the whole space.
-    Every returned pair must meet the residual contract
-    |a x - lambda x| <= RESIDUAL_RTOL * max(|a|, 1) (unit x, max norms).
+    Every returned pair must meet `_residual`. A non-finite a, a singular
+    block or a failed Hessenberg eigensolve raises SolverError.
 
     Returns the eigenvalues ascending and the largest relative residual.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("eig_shift_invert requires a square matrix")
+    norm = matrix_norm(a)
     if count == 0:
         return np.empty(0), 0.0
     n = a.shape[0]
@@ -207,7 +215,11 @@ def eig_shift_invert(a: np.ndarray, sigma: float,
             hess[i + 1, i] = beta
             basis[i + 1] = w
         m = stop
-        lam = sigma + 1.0 / np.linalg.eigvals(hess[:m, :m])
+        try:
+            theta, y = np.linalg.eig(hess[:m, :m])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Hessenberg eigensolve failed: {exc}") from exc
+        lam = sigma + 1.0 / theta
         current = near_real_sorted(lam)[:count]
         if m == n or (previous is not None and len(previous) == count
                       and len(current) == count
@@ -216,21 +228,13 @@ def eig_shift_invert(a: np.ndarray, sigma: float,
             break
         previous = current
 
-    theta, y = np.linalg.eig(hess[:m, :m])
-    lam = sigma + 1.0 / theta
-    values = near_real_sorted(lam)[:count]
-    if len(values) < count:
+    if len(current) < count:
         raise SolverError(
-            f"only {len(values)} near-real eigenvalues, need {count}")
-    picked = [int(np.argmin(np.abs(lam - v))) for v in values]
+            f"only {len(current)} near-real eigenvalues, need {count}")
+    picked = [int(np.argmin(np.abs(lam - v))) for v in current]
     x = basis[:m].T @ y[:, picked]
     x /= np.linalg.norm(x, axis=0)
-    scale = max(matrix_norm(a), 1.0)
-    resid = np.abs(a @ x - x * lam[picked]).max(axis=0) / scale
-    worst = float(resid.max())
-    if not worst <= RESIDUAL_RTOL:
-        raise SolverError(f"eigenpair residual {worst:.3e} exceeds contract")
-    return values, worst
+    return current, _residual(a, x, lam[picked], norm)
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

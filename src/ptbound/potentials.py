@@ -18,7 +18,7 @@ classification (bound / bound+resonance / resonance / scattering).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -32,6 +32,13 @@ ROOT_DEDUP_RTOL = 1e-9
 ROOT_RESIDUAL_RTOL = 1e-10
 
 
+def _check_finite(params) -> None:
+    """ValueError if a field is, or (an array field) holds, inf or nan."""
+    for f in fields(params):
+        if not np.isfinite(getattr(params, f.name)).all():
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class HyperbolicParams:
     """Parameters of the hyperbolic family (atomic units)."""
@@ -42,6 +49,7 @@ class HyperbolicParams:
     kappa: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.V0 > 0:
             raise ValueError(f"V0 must be positive, got {self.V0}")
         if not self.kappa > 0:
@@ -58,6 +66,7 @@ class TrigParams:
     a: float
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.V0 > 0:
             raise ValueError(f"V0 must be positive, got {self.V0}")
         if not self.D > 0:

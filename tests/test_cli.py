@@ -1,9 +1,6 @@
 import hashlib
 import json
 import math
-import runpy
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -108,7 +105,7 @@ def test_spectrum_empty_table(capsys):
                          ids=["hyperbolic", "trig"])
 @pytest.mark.parametrize("command", [
     ["spectrum", "--method", "dvr"], ["spectrum", "--method", "hofd"],
-    ["spectrum", "--method", "both"], ["wavefunction", "--states", "0"]])
+    ["spectrum", "--method", "both"]])
 def test_negative_count_usage_error(capsys, flags, command):
     # a negative count once sliced the DVR levels from the end
     code, out, err = run(capsys, command[0], *flags, *command[1:],
@@ -130,8 +127,9 @@ def test_grid_M_below_one_usage_error(capsys, command, grid_M):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--stencil-k", "0"], ["--box-b", "0"], ["--grid-M", "2", "--method", "dvr"],
-    ["--grid-M", "5", "--method", "hofd"]], ids=["k0", "b0", "dvr-M2", "hofd-M5"])
+    ["--stencil-k", "0"], ["--box-b", "0"], ["--box-b", "nan"],
+    ["--grid-M", "2", "--method", "dvr"], ["--grid-M", "5", "--method", "hofd"]],
+    ids=["k0", "b0", "b-nan", "dvr-M2", "hofd-M5"])
 def test_grid_and_stencil_usage_error(capsys, flags):
     # grid and stencil flags the solvers reject once exited 3, as if a
     # computation had failed
@@ -140,16 +138,41 @@ def test_grid_and_stencil_usage_error(capsys, flags):
     assert out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_wavefunction_profiles_samples_below_one(capsys, monkeypatch, samples):
-    # the script once printed nodes=0 for every state and exited 0
-    script = Path(__file__).parents[1] / "scripts" / "wavefunction_profiles.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--samples", samples])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(script), run_name="__main__")
-    out = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out.out == "" and "--samples must be >= 1" in out.err
+@pytest.mark.parametrize("method", ["dvr", "hofd"])
+@pytest.mark.parametrize("flags", [
+    ["--family", "hyperbolic", "--V0", "10", "--A", "-20", "--B", "-30",
+     "--kappa", "1e-200", "--count", "2"],
+    ["--family", "trig", "--V0", "5", "--C", "-10", "--D", "2",
+     "--a", "1e-200"]], ids=["kappa", "a"])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_nonfinite_operator_fails_computation(capsys, method, flags):
+    # HOFD once exited 2 with numpy's message, and DVR reported an empty
+    # finite well as "no bound level found"
+    code, out, err = run(capsys, "spectrum", *flags, "--method", method)
+    assert code == 3
+    assert out == "" and "matrix is not finite" in err
+
+
+@pytest.mark.parametrize("method", ["dvr", "hofd", "both"])
+def test_nonfinite_params_usage_error(capsys, method):
+    # a nan parameter once ran the solvers into a non-finite potential
+    flags = ["--family", "hyperbolic", "--V0", "10", "--A", "nan", "--B", "-30"]
+    code, out, err = run(capsys, "spectrum", *flags, "--method", method)
+    assert code == 2
+    assert out == "" and "A must be finite" in err
+
+
+@pytest.mark.parametrize("bound", [["--A-min", "nan", "--A-max", "5"],
+                                   ["--A-min", "-5", "--A-max", "inf"]],
+                         ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_spd_nonfinite_bounds(capsys, bound):
+    # these grids once exited 0 with nan and inf cells, every one labelled S
+    code, out, err = run(capsys, "spd", "--V0", "10", *bound,
+                         "--B-min", "-5", "--B-max", "5")
+    assert code == 2
+    assert out == "" and "A must be finite" in err
 
 
 def test_spectrum_usage_error(capsys):
@@ -219,15 +242,24 @@ def test_wavefunction_bad_state(capsys):
     assert "3" in err  # message names the bound count
 
 
-def test_wavefunction_count_limits_hyperbolic_levels(capsys):
-    code, _, err = run(capsys, "wavefunction", *S1_FLAGS, "--states", "2",
-                       "--count", "1")
-    assert code == 3
-    assert "outside the 1 computed bound states" in err
-    code, out, _ = run(capsys, "wavefunction", *S1_FLAGS, "--states", "2",
-                       "--count", "3", "--samples", "5")
+def test_wavefunction_trig_levels_from_states(capsys):
+    # the finite well once kept ten levels, whatever --states asked for
+    code, out, _ = run(capsys, "wavefunction", *S3_FLAGS, "--states", "10",
+                       "--samples", "5")
     assert code == 0
-    assert parse_csv(out)[1] == ["kappa*x", "psi_2"]
+    energy = json.loads(parse_csv(out)[0]["state_10"])["E"]
+    _, spec, _ = run(capsys, "spectrum", *S3_FLAGS, "--method", "dvr",
+                     "--count", "11")
+    assert cli._fmt(energy, cli.DIGITS["trig"]) == parse_csv(spec)[2][10][1]
+
+
+def test_wavefunction_node_counts(capsys):
+    code, out, _ = run(capsys, "wavefunction", *S1_FLAGS, "--states", "0", "1",
+                       "2")
+    assert code == 0
+    manifest = parse_csv(out)[0]
+    assert [json.loads(manifest[f"state_{m}"])["nodes"] for m in range(3)] \
+        == [0, 0, 1]
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

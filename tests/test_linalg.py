@@ -25,14 +25,54 @@ def test_eig_symmetric_trace_and_det():
     assert abs(np.prod(w) - det) <= 1e-8 * max(abs(det), 1.0)
     # orthonormality contract
     assert np.abs(v.T @ v - np.eye(50)).max() <= 1e-10
-    # one residual per pair, as the contract measures it
-    assert np.array_equal(resid, np.abs(a @ v - v * w).max(axis=0))
+    # the largest residual, relative to max(|a|, 1) as the contract scales it
+    scale = max(np.abs(a).sum(axis=1).max(), 1.0)
+    assert resid == np.abs(a @ v - v * w).max() / scale
 
 
 def test_eig_symmetric_rejects_nonsymmetric():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(NonSymmetricError):
         linalg.eig_symmetric(a)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("at", [(3, 3), (2, 5)], ids=["diagonal", "off"])
+@pytest.mark.parametrize("solve", [
+    lambda a: linalg.eig_symmetric(a, 2),
+    lambda a: linalg.eig_shift_invert(a, -1.0, 2)], ids=["symmetric", "shift"])
+def test_eigensolvers_reject_nonfinite_entry(solve, at, bad):
+    # one failure for one non-finite entry, whichever solver meets it; eigh
+    # once returned nan eigenvalues that the `below` filter then dropped
+    a = np.diag(np.arange(1.0, 9.0))
+    a[at] = bad
+    with pytest.raises(SolverError, match="not finite"):
+        solve(a)
+
+
+@pytest.mark.parametrize("solve, patched", [
+    (lambda a: linalg.eig_symmetric(a, 2), "eigh"),
+    (lambda a: linalg.eig_shift_invert(a, -1.0, 2), "eig")],
+    ids=["symmetric", "shift"])
+def test_nan_residual_fails_contract(monkeypatch, solve, patched):
+    # a nan eigenvector gives a nan residual, which no comparison with the
+    # tolerance may let through
+    original = getattr(np.linalg, patched)
+
+    def nan_vectors(a):
+        w, v = original(a)
+        return w, v * np.nan
+    monkeypatch.setattr(np.linalg, patched, nan_vectors)
+    with pytest.raises(SolverError, match="residual nan"):
+        solve(np.diag(np.arange(1.0, 9.0)))
+
+
+def test_eig_shift_invert_maps_lapack_failure(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(SolverError, match="did not converge"):
+        linalg.eig_shift_invert(np.diag(np.arange(1.0, 9.0)), -1.0, 2)
 
 
 def test_eig_general_companion():

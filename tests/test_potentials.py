@@ -35,6 +35,20 @@ def test_params_validation():
         TrigParams(V0=1.0, C=0.0, D=1.0, a=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_nonfinite(bad):
+    hyperbolic = {"V0": 1.0, "A": 0.0, "B": 0.0, "kappa": 1.0}
+    trig = {"V0": 1.0, "C": 0.0, "D": 1.0, "a": 1.0}
+    for cls, good in ((HyperbolicParams, hyperbolic), (TrigParams, trig)):
+        for name in good:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cls(**{**good, name: bad})
+    # spd_grid passes A and B as arrays
+    with pytest.raises(ValueError, match="A must be finite"):
+        HyperbolicParams(V0=1.0, A=np.array([0.0, bad]), B=np.zeros((2, 1)),
+                         kappa=1.0)
+
+
 def test_rho_derived_from_a():
     p = TrigParams(V0=1.0, C=0.0, D=1.0, a=2.5)
     assert p.rho == math.pi / 5.0
