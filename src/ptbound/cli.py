@@ -174,6 +174,8 @@ def cmd_wavefunction(args, parser) -> int:
     if args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     _check_grid_M(args, parser)
+    if min(args.states) < 0:
+        parser.error(f"--states must be >= 0, got {min(args.states)}")
     if isinstance(p, HyperbolicParams):
         x_max, abscissa, scale = args.box_b, "kappa*x", p.kappa
     else:
@@ -181,9 +183,9 @@ def cmd_wavefunction(args, parser) -> int:
     states = args.states
     # every bound level of the hyperbolic family; the finite well's levels
     # never end, so it keeps those up to the highest state asked for
-    count = None if isinstance(p, HyperbolicParams) else max(0, *states) + 1
+    count = None if isinstance(p, HyperbolicParams) else max(states) + 1
     bound = _dvr(p, count, args.grid_M, args.box_b).eigenvalues
-    bad = [m for m in states if m < 0 or m >= len(bound)]
+    bad = [m for m in states if m >= len(bound)]
     if bad:
         raise SolverError(f"state index {bad[0]} outside the {len(bound)} "
                           "computed bound states")

@@ -5,17 +5,17 @@ onto (0, 1) and discretized on a uniform grid with wide stencils of
 maximal consistency order; the finite well needs only a rescaling to
 (0, 1). The compactification scale zeta is retuned per eigenvalue
 index, so the hyperbolic operator is rebuilt for every requested level.
-Each build writes a*Delta2 + b*Delta1 + diag(V) into one array straight
-from the 2k-1 stencil weight pairs (`operator`) and samples the potential
-once, for the diagonal and for the solve's shift.
+Each build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1
+stencil weight pairs (`operator`) and samples the potential once, for the
+diagonal and for the solve's shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
-(`linalg.eig_shift_invert`) rather than a dense eigendecomposition. The
-operator is banded: a row reaches at most 2k - 1 columns from the
-diagonal (the one-sided wall stencils), so the solve reads that bandwidth
-from the matrix and factors the shifted operator block by block in
-O(M) work, where a dense inverse would cost O(M^3).
+(`linalg.eig_shift_invert`) rather than a dense eigendecomposition. A row
+reaches at most p = 2k - 1 columns from the diagonal (the one-sided wall
+stencils), so the operator is built as its M x (2p + 1) band (the layout
+of `linalg`) and the solve factors it block by block in O(M) work, where
+a dense inverse would cost O(M^3); no M x M operator is formed.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
 
 def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     """a*Delta2 + b*Delta1 + diag(c) on the interior nodes, with a, b and c
-    per row (length-M arrays or scalars).
+    per row (length-M arrays or scalars), as its band (`linalg`, p = 2k - 1).
 
     Delta1 and Delta2 are the maximally consistent first- and
     second-derivative stencils over 2k+1 grid points. Row s_i uses the
@@ -124,22 +124,22 @@ def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     s_i sits in its window, so 2k-1 weight pairs serve all M rows: k-1 per
     wall and the centered one.
     """
-    M, k, h = cfg.M, cfg.k, cfg.h
+    M, k, h, p = cfg.M, cfg.k, cfg.h, 2 * cfg.k - 1
     i = np.arange(M)  # row i holds s_{i+1}
     start = np.clip(i + 1 - k, 0, M + 1 - 2 * k)
     window = np.arange(2 * k + 1)
     at = i - start  # s_{i+1} is node at + 1 (1 .. 2k-1) of its window
-    w1 = np.array([fd_weights(1, window, p) for p in range(1, 2 * k)])[at] / h
-    w2 = np.array([fd_weights(2, window, p) for p in range(1, 2 * k)])[at] / h**2
+    w1 = np.array([fd_weights(1, window, q) for q in range(1, 2 * k)])[at] / h
+    w2 = np.array([fd_weights(2, window, q) for q in range(1, 2 * k)])[at] / h**2
     a, b = (np.broadcast_to(x, (M,))[:, None] for x in (a, b))
     cols = start[:, None] + window - 1  # grid index t -> interior column t-1
     rows = np.broadcast_to(i[:, None], cols.shape)
     inside = (cols >= 0) & (cols < M)
-    op = np.zeros((M, M))
+    band = np.zeros((M, 2 * p + 1))
     # adding into zeros stores the +0.0 a dense sum would give
-    op[rows[inside], cols[inside]] += (a * w2 + b * w1)[inside]
-    op[i, i] += c
-    return op
+    band[rows[inside], (cols - rows + p)[inside]] += (a * w2 + b * w1)[inside]
+    band[:, p] += c
+    return band
 
 
 def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig,
@@ -161,7 +161,7 @@ def box_operator(p: TrigParams, cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray
     v = eval_trig(p, p.a * cfg.s)
     # -Delta2 divided by 2a^2: scaling by -1/(2a^2) would round differently
     op = operator(cfg, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
-    op[np.diag_indices(cfg.M)] += v
+    op[:, 2 * cfg.k - 1] += v  # the diagonal
     return op, v
 
 

@@ -7,12 +7,11 @@ fails. Both hold every pair they return to one contract, `_residual`:
 max|a x - lambda x| / max(|a|, 1) <= RESIDUAL_RTOL over unit x, and report
 that relative residual, so the two solvers print it on one scale. The
 symmetric solve also checks symmetry; orthonormality is not checked. The
-few eigenvalues nearest a shift of a nonsymmetric matrix come from a
-shift-invert Arnoldi iteration on numpy alone. Its shifted matrix is
-factored block by block: the half-bandwidth p is read from the matrix's
-nonzeros and the rows are cut into blocks of at least max(BLOCK, p) rows,
-so only the blocks of a block tridiagonal matrix are inverted (a dense or
-small matrix is one block, factored by its plain inverse).
+few eigenvalues nearest a shift of a nonsymmetric banded matrix come from
+a shift-invert Arnoldi iteration on numpy alone, which takes the n x n
+matrix a as its band: band[i, r] = a[i, i - p + r], n x (2p + 1) and zero
+outside a (the row form of LAPACK's general band layout). The shifted
+matrix is factored in blocks of at least max(BLOCK, p) rows.
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ def matrix_norm(a: np.ndarray) -> float:
     return norm
 
 
-def _residual(a: np.ndarray, x: np.ndarray, lam: np.ndarray, norm: float) -> float:
+def _residual(ax: np.ndarray, x: np.ndarray, lam: np.ndarray, norm: float) -> float:
     """The eigenpair contract: max|a x - lambda x| over the unit columns x,
-    relative to max(norm, 1), 0.0 for no pairs. SolverError unless it is
-    at most RESIDUAL_RTOL (nan included)."""
-    worst = float(np.abs(a @ x - x * lam).max(initial=0.0)) / max(norm, 1.0)
+    given their product ax = a x, relative to max(norm, 1), 0.0 for no
+    pairs. SolverError unless it is at most RESIDUAL_RTOL (nan included)."""
+    worst = float(np.abs(ax - x * lam).max(initial=0.0)) / max(norm, 1.0)
     if not worst <= RESIDUAL_RTOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds contract")
     return worst
@@ -72,7 +71,7 @@ def eig_symmetric(a: np.ndarray, count: int | None = None,
     if count is not None:
         k = min(count, k)
     w, v = w[:k], v[:, :k]
-    return w, v, _residual(a, v, w, norm)
+    return w, v, _residual(a @ v, v, w, norm)
 
 
 def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,55 +97,47 @@ def near_real_sorted(w: np.ndarray) -> np.ndarray:
     return np.sort(real)
 
 
-def half_bandwidth(a: np.ndarray) -> int:
-    """Largest |i - j| over the nonzero entries a[i, j] of a square matrix
-    (0 if none)."""
-    nonzero = a != 0
-    np.fill_diagonal(nonzero, True)  # no row is empty, and |i - i| adds nothing
-    n = len(a)
-    i = np.arange(n)
-    below = i - nonzero.argmax(axis=1)  # to each row's first nonzero
-    above = n - 1 - nonzero[:, ::-1].argmax(axis=1) - i  # to its last
-    return int(max(below.max(initial=0), above.max(initial=0)))
+def shifted_solver(band: np.ndarray,
+                   sigma: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The map b -> (a - sigma I)^-1 b for a given as its band, by block LU.
 
-
-def shifted_solver(a: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The map b -> (a - sigma I)^-1 b, by block LU of a - sigma I.
-
-    With p = half_bandwidth(a), the rows are cut into blocks of
-    s = max(BLOCK, p) rows, the last one taking the remainder, so no block
-    is shorter than p and a dense or small matrix is a single block. Block
-    i then meets only blocks i - 1 and i + 1, through p x p corners: L_i,
-    the first p rows of i against the last p columns of i - 1, and U_i, the
-    last p rows of i against the first p columns of i + 1. The factor keeps
-    the inverses of S_i = D_i - L_i S_{i-1}^-1 U_{i-1}, D_i being the
-    diagonal block of a - sigma I (only the leading p x p corner of S_i
-    differs from D_i). A solve is a forward sweep
+    The rows are cut into blocks of s = max(BLOCK, p) rows, the last one
+    taking the remainder, so no block is shorter than p and a small matrix
+    is one block. Block i then meets only blocks i - 1 and i + 1, through
+    p x p corners: L_i, the first p rows of i against the last p columns of
+    i - 1, and U_i, the last p rows of i against the first p columns of
+    i + 1. The factor keeps the inverses of S_i = D_i - L_i S_{i-1}^-1 U_{i-1},
+    D_i being the diagonal block of a - sigma I (only the leading p x p
+    corner of S_i differs from D_i). A solve is a forward sweep
     z_i = S_i^-1 (b_i - L_i z_{i-1}) and a backward sweep
-    x_i = z_i - S_i^-1 U_i x_{i+1}. Every block is read straight from a;
-    no dense copy of a - sigma I and no dense inverse is formed. The blocks
-    are not pivoted against each other, so a singular S_i raises
-    SolverError.
+    x_i = z_i - S_i^-1 U_i x_{i+1}. D_i, L_i and U_i are cut from one dense
+    strip per block, rows lo:hi over columns lo - p .. hi + p; no n x n
+    array and no dense inverse is formed. The blocks are not pivoted
+    against each other, so a singular S_i raises SolverError.
     """
-    n = a.shape[0]
-    p = half_bandwidth(a)
+    n, width = band.shape
+    p = width // 2
     s = max(BLOCK, p)
     edges = [i * s for i in range(max(n // s, 1))] + [n]
     blocks = list(zip(edges[:-1], edges[1:]))
     inverses, lower, upper = [], [None], []
     for lo, hi in blocks:
-        d = a[lo:hi, lo:hi].copy()
-        d[np.diag_indices(hi - lo)] -= sigma
+        m = hi - lo
+        rows = np.arange(m)[:, None]  # strip column c holds column lo - p + c
+        strip = np.zeros((m, m + 2 * p))
+        strip[rows, rows + np.arange(width)] = band[lo:hi]
+        d = strip[:, p:p + m].copy()
+        d[np.diag_indices(m)] -= sigma
         if lo:
             tail = len(inverses[-1]) - p
-            lower.append(a[lo:lo + p, lo - p:lo])
+            lower.append(strip[:p, :p])
             d[:p, :p] -= lower[-1] @ inverses[-1][tail:, tail:] @ upper[-1]
         try:
             inverses.append(np.linalg.inv(d))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"shift {sigma:.6g} leaves rows {lo}:{hi} of "
                               f"a - sigma I singular: {exc}") from exc
-        upper.append(a[hi - p:hi, hi:hi + p])
+        upper.append(strip[m - p:, m + p:])
     # S_i^-1 U_i; only its first p columns are nonzero
     back = [inv[:, len(inv) - p:] @ u for inv, u in zip(inverses[:-1], upper)]
 
@@ -163,10 +154,10 @@ def shifted_solver(a: np.ndarray, sigma: float) -> Callable[[np.ndarray], np.nda
     return solve
 
 
-def eig_shift_invert(a: np.ndarray, sigma: float,
+def eig_shift_invert(band: np.ndarray, sigma: float,
                      count: int) -> tuple[np.ndarray, float]:
-    """The `count` smallest near-real eigenvalues of a real square matrix
-    whose spectrum lies to the right of `sigma`.
+    """The `count` smallest near-real eigenvalues of a real banded matrix a,
+    given as its band, whose spectrum lies to the right of `sigma`.
 
     Shift-invert Arnoldi: with B = (a - sigma I)^-1 the eigenvalues nearest
     sigma become the largest eigenvalues theta of B and converge first in
@@ -177,19 +168,20 @@ def eig_shift_invert(a: np.ndarray, sigma: float,
     lambda = sigma + 1/theta. The values are accepted once the `count`
     smallest near-real ones agree with the previous step's to RITZ_RTOL
     relative to |lambda - sigma|, or once the basis spans the whole space.
-    Every returned pair must meet `_residual`. A non-finite a, a singular
-    block or a failed Hessenberg eigensolve raises SolverError.
+    Every returned pair must meet `_residual`. A band that is not 2-D of
+    odd width raises ValueError; a non-finite a, a singular block or a
+    failed Hessenberg eigensolve raises SolverError.
 
     Returns the eigenvalues ascending and the largest relative residual.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig_shift_invert requires a square matrix")
-    norm = matrix_norm(a)
+    band = np.asarray(band, dtype=float)
+    if band.ndim != 2 or band.shape[1] % 2 == 0:
+        raise ValueError(f"need a band of odd width, got shape {band.shape}")
+    norm = matrix_norm(band)  # the row sums of |band| are those of |a|
     if count == 0:
         return np.empty(0), 0.0
-    n = a.shape[0]
-    solve = shifted_solver(a, sigma)
+    n, width = band.shape
+    solve = shifted_solver(band, sigma)
     rng = np.random.default_rng(0)
     basis = np.zeros((n, n))  # rows are the orthonormal Krylov vectors
     hess = np.zeros((n, n))  # hess[i + 1, i] links vector i to i + 1
@@ -234,7 +226,9 @@ def eig_shift_invert(a: np.ndarray, sigma: float,
     picked = [int(np.argmin(np.abs(lam - v))) for v in current]
     x = basis[:m].T @ y[:, picked]
     x /= np.linalg.norm(x, axis=0)
-    return current, _residual(a, x, lam[picked], norm)
+    padded = np.pad(x, ((width // 2,) * 2, (0, 0)))  # a x: 2p + 1 multiply-adds
+    ax = sum(band[:, r, None] * padded[r:r + n] for r in range(width))
+    return current, _residual(ax, x, lam[picked], norm)
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

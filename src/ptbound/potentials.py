@@ -103,9 +103,9 @@ def eval_hyperbolic(p: HyperbolicParams, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("hyperbolic potential requires x > 0")
-    # sinh overflows for large arguments; every term then underflows to 0,
-    # which is the correct asymptote
-    with np.errstate(over="ignore"):
+    # sinh overflows for large arguments (every term then underflows to 0, the
+    # asymptote) or underflows to 0 (inf or nan, rejected by the solvers)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = np.sinh(p.kappa * x) ** 2
         out = p.V0 / s**2 + p.A / s + p.B / (1.0 + s)
     return out if out.ndim else float(out)
@@ -322,6 +322,9 @@ def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2 per axis")
+    for name, bounds in (("A", A_range), ("B", B_range)):
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"{name} must be finite")
 
     A_vals = np.linspace(A_range[0], A_range[1], resolution)
     B_vals = np.linspace(B_range[0], B_range[1], resolution)

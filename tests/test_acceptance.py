@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from ptbound import dvr, hofd, orthopoly, reference, tra
 from ptbound.potentials import HyperbolicParams, Phase, classify_phase
@@ -71,7 +72,7 @@ def test_criterion_4_free_box():
     cfg = hofd.HofdConfig(M=300, k=4)
     op = hofd.operator(cfg, -0.5, 0.0, 0.0)  # V = 0, a = 1
     from ptbound import linalg
-    w, _ = linalg.eig_general(op)
+    w, _ = linalg.eig_general(dense(op))
     levels = linalg.near_real_sorted(w)[:5]
     worst = 0.0
     for n, e in enumerate(levels, start=1):

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,13 +169,30 @@ def test_nonfinite_params_usage_error(capsys, method):
 @pytest.mark.parametrize("bound", [["--A-min", "nan", "--A-max", "5"],
                                    ["--A-min", "-5", "--A-max", "inf"]],
                          ids=["nan", "inf"])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_spd_nonfinite_bounds(capsys, bound):
     # these grids once exited 0 with nan and inf cells, every one labelled S
     code, out, err = run(capsys, "spd", "--V0", "10", *bound,
                          "--B-min", "-5", "--B-max", "5")
     assert code == 2
     assert out == "" and "A must be finite" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["spd", "--V0", "10", "--A-min", "-5", "--A-max", "inf", "--B-min", "-5",
+      "--B-max", "5"], 2),
+    (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
+    (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "hofd"], 3)],
+    ids=["spd-inf", "kappa-dvr", "kappa-hofd"])
+def test_nonfinite_input_stderr_is_one_error_line(argv, code):
+    # numpy's RuntimeWarnings once came before the error line; run as a
+    # user would, with warnings shown, to see everything on stderr
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "ptbound.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == code and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_spectrum_usage_error(capsys):
@@ -240,6 +260,16 @@ def test_wavefunction_bad_state(capsys):
     code, _, err = run(capsys, "wavefunction", *S1_FLAGS, "--states", "7")
     assert code == 3
     assert "3" in err  # message names the bound count
+
+
+@pytest.mark.parametrize("flags", [S1_FLAGS, S4_FLAGS],
+                         ids=["hyperbolic", "trig"])
+def test_wavefunction_negative_state_usage_error(capsys, flags, monkeypatch):
+    # --states -1 once ran the DVR solve and exited 3 as a computation failure
+    monkeypatch.setattr(cli, "_dvr", None)  # no solve may run
+    code, out, err = run(capsys, "wavefunction", *flags, "--states", "0", "-1")
+    assert code == 2
+    assert out == "" and "--states must be >= 0, got -1" in err
 
 
 def test_wavefunction_trig_levels_from_states(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import dense
 
 from ptbound import hofd, linalg, reference
 from ptbound.potentials import HyperbolicParams, TrigParams
@@ -86,7 +87,7 @@ def test_fd_weights_exact():
 
 def test_delta_matrices_k1_tridiagonal():
     cfg = hofd.HofdConfig(M=6, k=1)
-    d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
+    d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
     lap = (np.diag([-2.0] * 6) + np.diag([1.0] * 5, 1)
            + np.diag([1.0] * 5, -1)) / cfg.h**2
     assert np.abs(d2 - lap).max() == 0.0
@@ -94,8 +95,8 @@ def test_delta_matrices_k1_tridiagonal():
 
 def test_delta_matrices_moment_conditions():
     cfg = hofd.HofdConfig(M=40, k=3)
-    d1 = hofd.operator(cfg, 0.0, 1.0, 0.0)
-    d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
+    d1 = dense(hofd.operator(cfg, 0.0, 1.0, 0.0))
+    d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
     s = cfg.s
     # rows whose stencil window avoids the Dirichlet endpoints see the full
     # moment conditions: Delta1 kills constants, Delta2 on s^2 gives 2
@@ -111,7 +112,7 @@ def test_consistency_order():
     errs = []
     for m in (64, 128, 256):
         cfg = hofd.HofdConfig(M=m, k=k)
-        d2 = hofd.operator(cfg, 1.0, 0.0, 0.0)
+        d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
         f = np.sin(math.pi * cfg.s)
         errs.append(np.abs(d2 @ f + math.pi**2 * f).max())
     for e0, e1 in zip(errs, errs[1:]):
@@ -120,7 +121,7 @@ def test_consistency_order():
 
 def test_hyperbolic_operator_nonsymmetric():
     cfg = hofd.HofdConfig(M=50, k=2)
-    j, _ = hofd.hyperbolic_operator(S1, cfg, 1)
+    j = dense(hofd.hyperbolic_operator(S1, cfg, 1)[0])
     assert np.abs(j - j.T).max() > 0.0
 
 
@@ -195,10 +196,10 @@ def test_delta_matrices_match_row_by_row(M, k):
     d1, d2 = _delta_matrices_by_row(cfg)
     a, b, c = np.random.default_rng(100 * M + k).uniform(-5.0, 5.0, (3, M))
     want = a[:, None] * d2 + b[:, None] * d1 + np.diag(c)
-    assert hofd.operator(cfg, a, b, c).tobytes() == want.tobytes()
+    assert dense(hofd.operator(cfg, a, b, c)).tobytes() == want.tobytes()
     p = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.037)
     op, v = hofd.box_operator(p, cfg)
-    assert op.tobytes() == (-d2 / (2.0 * p.a**2) + np.diag(v)).tobytes()
+    assert dense(op).tobytes() == (-d2 / (2.0 * p.a**2) + np.diag(v)).tobytes()
 
 
 def _dense_levels(p, cfg, count):
@@ -206,7 +207,7 @@ def _dense_levels(p, cfg, count):
     zeta(j) operator, j = 1..count, up to the first continuum artifact."""
     levels = []
     for j in range(1, count + 1):
-        w, _ = linalg.eig_general(hofd.hyperbolic_operator(p, cfg, j)[0])
+        w, _ = linalg.eig_general(dense(hofd.hyperbolic_operator(p, cfg, j)[0]))
         lam = linalg.near_real_sorted(w)[j - 1]
         if lam >= 0.0:
             break
@@ -246,7 +247,7 @@ def test_finite_well_levels_match_dense_eig(p, M):
     # the operator's own conditioning limits agreement to about 1e-6
     cfg = hofd.HofdConfig(M=M)
     got = hofd.hofd_spectrum(p, cfg, count=10).eigenvalues
-    w, _ = linalg.eig_general(hofd.box_operator(p, cfg)[0])
+    w, _ = linalg.eig_general(dense(hofd.box_operator(p, cfg)[0]))
     ref = linalg.near_real_sorted(w)[:10]
     assert len(got) == 10
     for g, r in zip(got, ref):
@@ -260,7 +261,7 @@ def test_shift_below_spectrum(p, monkeypatch):
     shifts = []
 
     def recorded(a, sigma, count):
-        w, _ = linalg.eig_general(a)
+        w, _ = linalg.eig_general(dense(a))
         shifts.append((sigma, w.real.min()))
         return solve(a, sigma, count)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import band, dense
 
 from ptbound import hofd, linalg, reference
 from ptbound.errors import NonSymmetricError, SolverError
@@ -40,7 +41,8 @@ def test_eig_symmetric_rejects_nonsymmetric():
 @pytest.mark.parametrize("at", [(3, 3), (2, 5)], ids=["diagonal", "off"])
 @pytest.mark.parametrize("solve", [
     lambda a: linalg.eig_symmetric(a, 2),
-    lambda a: linalg.eig_shift_invert(a, -1.0, 2)], ids=["symmetric", "shift"])
+    lambda a: linalg.eig_shift_invert(band(a, 3), -1.0, 2)],
+    ids=["symmetric", "shift"])
 def test_eigensolvers_reject_nonfinite_entry(solve, at, bad):
     # one failure for one non-finite entry, whichever solver meets it; eigh
     # once returned nan eigenvalues that the `below` filter then dropped
@@ -52,7 +54,7 @@ def test_eigensolvers_reject_nonfinite_entry(solve, at, bad):
 
 @pytest.mark.parametrize("solve, patched", [
     (lambda a: linalg.eig_symmetric(a, 2), "eigh"),
-    (lambda a: linalg.eig_shift_invert(a, -1.0, 2), "eig")],
+    (lambda a: linalg.eig_shift_invert(band(a, 0), -1.0, 2), "eig")],
     ids=["symmetric", "shift"])
 def test_nan_residual_fails_contract(monkeypatch, solve, patched):
     # a nan eigenvector gives a nan residual, which no comparison with the
@@ -72,7 +74,7 @@ def test_eig_shift_invert_maps_lapack_failure(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eig", fail)
     with pytest.raises(SolverError, match="did not converge"):
-        linalg.eig_shift_invert(np.diag(np.arange(1.0, 9.0)), -1.0, 2)
+        linalg.eig_shift_invert(band(np.diag(np.arange(1.0, 9.0)), 0), -1.0, 2)
 
 
 def test_eig_general_companion():
@@ -118,7 +120,7 @@ def _similar_to_diagonal(values, seed):
 def test_eig_shift_invert_nonsymmetric():
     values = np.linspace(1.0, 50.0, 60)
     a = _similar_to_diagonal(values, 3)
-    got, resid = linalg.eig_shift_invert(a, 0.0, 5)
+    got, resid = linalg.eig_shift_invert(band(a, 59), 0.0, 5)
     assert np.abs(got - values[:5]).max() <= 1e-10
     assert 0.0 <= resid <= linalg.RESIDUAL_RTOL
 
@@ -128,7 +130,7 @@ def test_eig_shift_invert_skips_complex_pairs():
     a = np.zeros((30, 30))
     a[:2, :2] = [[0.5, -2.0], [2.0, 0.5]]
     a[2:, 2:] = np.diag(np.arange(3.0, 31.0))
-    got, _ = linalg.eig_shift_invert(a, 0.0, 3)
+    got, _ = linalg.eig_shift_invert(band(a, 1), 0.0, 3)
     assert np.allclose(got, [3.0, 4.0, 5.0], rtol=0.0, atol=1e-12)
 
 
@@ -136,25 +138,25 @@ def test_eig_shift_invert_repeated_eigenvalues():
     # one start vector sees one direction per distinct eigenvalue, so the
     # basis becomes invariant early and the solver must restart
     a = np.diag([1.0, 1.0, 1.0, 2.0, 5.0])
-    got, _ = linalg.eig_shift_invert(a, 0.0, 4)
+    got, _ = linalg.eig_shift_invert(band(a, 0), 0.0, 4)
     assert np.allclose(got, [1.0, 1.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
 
 
 def test_eig_shift_invert_too_few_real():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(SolverError):
-        linalg.eig_shift_invert(a, -2.0, 1)
+        linalg.eig_shift_invert(band(a, 1), -2.0, 1)
 
 
 def test_eig_shift_invert_residual_contract(monkeypatch):
     a = _similar_to_diagonal(np.arange(1.0, 41.0), 4)
     monkeypatch.setattr(linalg, "RESIDUAL_RTOL", 0.0)
     with pytest.raises(SolverError):
-        linalg.eig_shift_invert(a, 0.0, 2)
+        linalg.eig_shift_invert(band(a, 39), 0.0, 2)
 
 
 def test_eig_shift_invert_count_zero():
-    got, resid = linalg.eig_shift_invert(np.eye(3), 0.0, 0)
+    got, resid = linalg.eig_shift_invert(band(np.eye(3), 0), 0.0, 0)
     assert got.shape == (0,) and resid == 0.0
 
 
@@ -174,27 +176,28 @@ def test_shifted_solver_matches_dense_solve(n, p):
     a = _banded(n, p, n + p)
     sigma = -2.0 * linalg.matrix_norm(a)  # keeps a - sigma I well conditioned
     b = np.random.default_rng(1).normal(size=n)
-    got = linalg.shifted_solver(a, sigma)(b)
+    got = linalg.shifted_solver(band(a, p), sigma)(b)
     want = np.linalg.solve(a - sigma * np.eye(n), b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_half_bandwidth():
-    assert linalg.half_bandwidth(np.zeros((4, 4))) == 0
-    assert linalg.half_bandwidth(np.eye(4)) == 0
-    assert linalg.half_bandwidth(_banded(30, 4, 0)) == 4
-    a = np.zeros((6, 6))
-    a[5, 0] = 1.0  # one corner entry sets the band
-    assert linalg.half_bandwidth(a) == 5
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", range(1, 9))
 def test_half_bandwidth_of_hofd_operator(k):
-    # the one-sided wall stencils over 2k + 1 points reach 2k - 1 columns
-    # past the diagonal once the Dirichlet end column is cut
-    op, _ = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"],
-                                     hofd.HofdConfig(M=60, k=k), 1)
-    assert linalg.half_bandwidth(op) == 2 * k - 1
+    # the one-sided wall stencils over 2k + 1 points reach p = 2k - 1
+    # columns past the diagonal once the Dirichlet end column is cut; the
+    # band is exactly that wide, which keeps the block factorization bitwise
+    cfg = hofd.HofdConfig(M=60, k=k)
+    for op in (hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], cfg, 1)[0],
+               hofd.box_operator(reference.TRIG_SETS["S3"], cfg)[0]):
+        assert op.shape == (cfg.M, 2 * (2 * k - 1) + 1)
+        assert np.any(op[:, 0] != 0.0) and np.any(op[:, -1] != 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.ones(5), np.ones((5, 4))],
+                         ids=["1-D", "even width"])
+def test_eig_shift_invert_rejects_malformed_band(bad):
+    with pytest.raises(ValueError, match="odd width"):
+        linalg.eig_shift_invert(bad, -1.0, 1)
 
 
 def test_eig_shift_invert_tridiagonal_toeplitz():
@@ -204,7 +207,7 @@ def test_eig_shift_invert_tridiagonal_toeplitz():
     a = 3.0 * np.eye(n) + 0.95 * np.eye(n, k=-1) + 1.05 * np.eye(n, k=1)
     exact = np.sort(3.0 + 2.0 * np.sqrt(0.95 * 1.05)
                     * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    got, resid = linalg.eig_shift_invert(a, 0.0, 6)
+    got, resid = linalg.eig_shift_invert(band(a, 1), 0.0, 6)
     assert n > 2 * linalg.BLOCK
     assert np.abs(got - exact[:6]).max() <= 1e-11
     assert resid <= linalg.RESIDUAL_RTOL
@@ -228,10 +231,28 @@ def test_eig_shift_invert_blocks_match_single_block(monkeypatch):
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
+def test_eig_shift_invert_residual_of_banded_product(monkeypatch):
+    # the contract gets a x from 2p + 1 shifted multiply-adds over the band;
+    # it must be the dense product, wall rows included
+    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], hofd.HofdConfig(M=200))
+    seen = []
+    contract = linalg._residual
+
+    def recorded(ax, x, lam, norm):
+        seen.append((ax, x))
+        return contract(ax, x, lam, norm)
+    monkeypatch.setattr(linalg, "_residual", recorded)
+    linalg.eig_shift_invert(op, float(v.min()) - 1.0, 3)
+    [(ax, x)] = seen
+    want = dense(op) @ x
+    assert x.shape == (200, 3)
+    assert np.abs(ax - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("sigma", [5.0, 150.0])
 def test_eig_shift_invert_singular_shift(sigma):
     # sigma is a diagonal entry of a diagonal matrix, in the first block and
     # in the last one, so that block of a - sigma I is exactly singular
     a = np.diag(np.arange(200.0))
     with pytest.raises(SolverError):
-        linalg.eig_shift_invert(a, sigma, 1)
+        linalg.eig_shift_invert(band(a, 0), sigma, 1)
