@@ -88,7 +88,9 @@ def kinetic_box(M: int, a: float) -> np.ndarray:
     i = np.arange(1, M, dtype=float)
     np.fill_diagonal(t, (2.0 * M**2 + 1.0) / 3.0
                      - 1.0 / np.sin(i * math.pi / M) ** 2)
-    return t * math.pi**2 / (4.0 * a**2)
+    # 4a^2 may underflow to 0; the solver rejects the inf that gives
+    with np.errstate(divide="ignore"):
+        return t * math.pi**2 / (4.0 * a**2)
 
 
 def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarray:

@@ -159,8 +159,10 @@ def box_operator(p: TrigParams, cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray
     """Rescaled wave operator for the trigonometric family on (0, 1), and
     the potential it samples at x = a s."""
     v = eval_trig(p, p.a * cfg.s)
-    # -Delta2 divided by 2a^2: scaling by -1/(2a^2) would round differently
-    op = operator(cfg, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
+    # -Delta2 divided by 2a^2: scaling by -1/(2a^2) would round differently;
+    # 2a^2 may underflow to 0, and the solver rejects the inf and nan it gives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        op = operator(cfg, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
     op[:, 2 * cfg.k - 1] += v  # the diagonal
     return op, v
 

@@ -27,7 +27,7 @@ SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 REALNESS_RTOL = 1e-8
 KRYLOV_STEP = 20  # basis vectors added between convergence checks
-RITZ_RTOL = 1e-13  # successive Ritz values agree, relative to |lambda - sigma|
+RITZ_RTOL = 1e-13  # Ritz residual estimate beta_m |y_m| relative to |theta|
 BLOCK = 64  # least rows per block of the banded shifted factorization
 
 
@@ -89,12 +89,18 @@ def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def near_real_sorted(w: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues within REALNESS_RTOL * max(|w|, 1) of
-    the real axis, ascending."""
+def near_real_order(w: np.ndarray) -> np.ndarray:
+    """Indices of the eigenvalues within REALNESS_RTOL * max(|w|, 1) of the
+    real axis, ascending by real part (ties in index order)."""
     radius = np.abs(w).max() if w.size else 0.0
-    real = w[np.abs(w.imag) <= REALNESS_RTOL * max(radius, 1.0)].real
-    return np.sort(real)
+    near = np.flatnonzero(np.abs(w.imag) <= REALNESS_RTOL * max(radius, 1.0))
+    return near[np.argsort(w.real[near], kind="stable")]
+
+
+def near_real_sorted(w: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues near the real axis (`near_real_order`),
+    ascending."""
+    return w[near_real_order(w)].real
 
 
 def shifted_solver(band: np.ndarray,
@@ -164,13 +170,21 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
     its Krylov space. B is never formed: each Krylov step applies it as two
     sweeps over the blocks `shifted_solver` factors once. The orthonormal
     basis grows KRYLOV_STEP vectors at a time (two-pass Gram-Schmidt from a
-    fixed random start); after each step the Ritz pairs of B map back by
-    lambda = sigma + 1/theta. The values are accepted once the `count`
-    smallest near-real ones agree with the previous step's to RITZ_RTOL
-    relative to |lambda - sigma|, or once the basis spans the whole space.
-    Every returned pair must meet `_residual`. A band that is not 2-D of
-    odd width raises ValueError; a non-finite a, a singular block or a
-    failed Hessenberg eigensolve raises SolverError.
+    fixed random start); after each step the Ritz pairs (theta, y) of the
+    m x m Hessenberg matrix map back by lambda = sigma + 1/theta. By the
+    Arnoldi relation the Ritz vector x = V y has |(B - theta) x| =
+    beta_m |y_m|, beta_m being the basis' link to vector m + 1 and y_m the
+    last entry of the unit y (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2011, ch. 6). The values are accepted once that estimate is at
+    most RITZ_RTOL * |theta| for each of the `count` smallest near-real
+    lambda (as d lambda / |lambda - sigma| = d theta / |theta|, the same
+    bound relative to |lambda - sigma|), or once the basis spans the whole
+    space. A step that ends on a restart (beta_m = 0) is
+    never accepted below the whole space: its estimates all read 0, but its
+    Ritz values then cover only an invariant subspace and may miss a wanted
+    eigenvalue. Every returned pair must meet `_residual`. A band that is
+    not 2-D of odd width raises ValueError; a non-finite a, a singular block
+    or a failed Hessenberg eigensolve raises SolverError.
 
     Returns the eigenvalues ascending and the largest relative residual.
     """
@@ -184,9 +198,9 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
     solve = shifted_solver(band, sigma)
     rng = np.random.default_rng(0)
     basis = np.zeros((n, n))  # rows are the orthonormal Krylov vectors
-    hess = np.zeros((n, n))  # hess[i + 1, i] links vector i to i + 1
+    hess = np.zeros((n + 1, n))  # hess[i + 1, i] links vector i to i + 1
     basis[0] = _unit(rng.standard_normal(n))
-    m, previous = 0, None
+    m = 0
     while True:
         stop = min(m + KRYLOV_STEP, n)
         for i in range(m, stop):
@@ -212,23 +226,21 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"Hessenberg eigensolve failed: {exc}") from exc
         lam = sigma + 1.0 / theta
-        current = near_real_sorted(lam)[:count]
-        if m == n or (previous is not None and len(previous) == count
-                      and len(current) == count
-                      and np.all(np.abs(current - previous)
-                                 <= RITZ_RTOL * np.abs(current - sigma))):
+        picked = near_real_order(lam)[:count]
+        beta = hess[m, m - 1]
+        if m == n or (len(picked) == count and beta > 0.0
+                      and np.all(beta * np.abs(y[m - 1, picked])
+                                 <= RITZ_RTOL * np.abs(theta[picked]))):
             break
-        previous = current
 
-    if len(current) < count:
+    if len(picked) < count:
         raise SolverError(
-            f"only {len(current)} near-real eigenvalues, need {count}")
-    picked = [int(np.argmin(np.abs(lam - v))) for v in current]
+            f"only {len(picked)} near-real eigenvalues, need {count}")
     x = basis[:m].T @ y[:, picked]
     x /= np.linalg.norm(x, axis=0)
     padded = np.pad(x, ((width // 2,) * 2, (0, 0)))  # a x: 2p + 1 multiply-adds
     ax = sum(band[:, r, None] * padded[r:r + n] for r in range(width))
-    return current, _residual(ax, x, lam[picked], norm)
+    return lam[picked].real, _residual(ax, x, lam[picked], norm)
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

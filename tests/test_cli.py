@@ -147,8 +147,6 @@ def test_grid_and_stencil_usage_error(capsys, flags):
      "--kappa", "1e-200", "--count", "2"],
     ["--family", "trig", "--V0", "5", "--C", "-10", "--D", "2",
      "--a", "1e-200"]], ids=["kappa", "a"])
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_nonfinite_operator_fails_computation(capsys, method, flags):
     # HOFD once exited 2 with numpy's message, and DVR reported an empty
     # finite well as "no bound level found"
@@ -181,8 +179,10 @@ def test_spd_nonfinite_bounds(capsys, bound):
     (["spd", "--V0", "10", "--A-min", "-5", "--A-max", "inf", "--B-min", "-5",
       "--B-max", "5"], 2),
     (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
-    (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "hofd"], 3)],
-    ids=["spd-inf", "kappa-dvr", "kappa-hofd"])
+    (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "hofd"], 3),
+    (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
+    (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "hofd"], 3)],
+    ids=["spd-inf", "kappa-dvr", "kappa-hofd", "a-dvr", "a-hofd"])
 def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     # numpy's RuntimeWarnings once came before the error line; run as a
     # user would, with warnings shown, to see everything on stderr

@@ -142,6 +142,34 @@ def test_eig_shift_invert_repeated_eigenvalues():
     assert np.allclose(got, [1.0, 1.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
 
 
+def test_eig_shift_invert_repeated_eigenvalues_distinct_pairs(monkeypatch):
+    # equal Ritz values were once all matched to one pair, so the residual
+    # contract saw one eigenvector for the three of them
+    seen = []
+    contract = linalg._residual
+
+    def recorded(ax, x, lam, norm):
+        seen.append(x)
+        return contract(ax, x, lam, norm)
+    monkeypatch.setattr(linalg, "_residual", recorded)
+    a = np.diag([1.0, 1.0, 1.0, 2.0, 5.0, 7.0, 8.0])
+    got, _ = linalg.eig_shift_invert(band(a, 0), 0.0, 4)
+    assert np.allclose(got, [1.0, 1.0, 1.0, 2.0], rtol=0.0, atol=1e-12)
+    [x] = seen
+    # the three pairs at 1 span its eigenspace, the first three unit axes
+    assert np.linalg.svd(x[:3, :3], compute_uv=False).min() > 0.5
+
+
+def test_eig_shift_invert_restart_is_not_convergence(monkeypatch):
+    # with 3 vectors a step, the step ending at m = 6 ends on a restart:
+    # beta_m = 0 makes every residual estimate 0, though the Ritz values
+    # 1, 1, 2, 5, 7, 8 of the invariant subspace seen so far lack a third 1
+    monkeypatch.setattr(linalg, "KRYLOV_STEP", 3)
+    a = np.diag([1.0, 1.0, 1.0, 2.0, 5.0, 7.0, 8.0])
+    got, _ = linalg.eig_shift_invert(band(a, 0), 0.0, 3)
+    assert np.allclose(got, [1.0, 1.0, 1.0], rtol=0.0, atol=1e-12)
+
+
 def test_eig_shift_invert_too_few_real():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(SolverError):
@@ -229,6 +257,28 @@ def test_eig_shift_invert_blocks_match_single_block(monkeypatch):
     for case, got in zip(cases, blocked):
         dense, _ = linalg.eig_shift_invert(*case)
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_eig_shift_invert_stops_on_residual_estimate(monkeypatch):
+    # one shifted solve per Krylov vector; the estimate accepts the lowest
+    # hyperbolic level at the first check and the finite well's ten lowest
+    # at the second, where two agreeing steps needed one step more
+    solves = []
+    factor = linalg.shifted_solver
+
+    def counted(band, sigma):
+        solve = factor(band, sigma)
+        solves.append(0)
+
+        def step(b):
+            solves[-1] += 1
+            return solve(b)
+        return step
+    monkeypatch.setattr(linalg, "shifted_solver", counted)
+    s1, _, _, s3 = _hofd_cases(500)
+    linalg.eig_shift_invert(*s1)
+    linalg.eig_shift_invert(*s3)
+    assert solves[0] <= linalg.KRYLOV_STEP and solves[1] <= 2 * linalg.KRYLOV_STEP
 
 
 def test_eig_shift_invert_residual_of_banded_product(monkeypatch):
