@@ -28,8 +28,6 @@ EXIT_COMPUTE = 3
 
 # significant digits per family, matching the published precision
 DIGITS = {"hyperbolic": 12, "trig": 6}
-# finite-well levels listed without --count
-TRIG_LEVELS = 10
 
 
 def _fmt(x: float, digits: int) -> str:
@@ -98,32 +96,20 @@ def _params_from_args(args, parser):
     return TrigParams(V0=args.V0, C=args.C, D=args.D, a=args.a)
 
 
-def _dvr(p, count: int | None, M: int | None = None,
-         b: float = dvr.DEFAULT_B) -> dvr.SpectrumResult:
-    """DVR levels on M nodes (the family's default if None). A count of None
-    keeps every bound level of the hyperbolic family and the lowest
-    TRIG_LEVELS of the finite well."""
-    if isinstance(p, HyperbolicParams):
-        return dvr.hyperbolic_spectrum(p, M=M or dvr.DEFAULT_M_HYPERBOLIC,
-                                       b=b, count=count)
-    return dvr.trig_spectrum(p, M=M or dvr.DEFAULT_M_TRIG,
-                             count=TRIG_LEVELS if count is None else count)
-
-
 def _spectra(args, p):
     """Run the requested solver(s); returns {method_name: SpectrumResult}."""
     results = {}
     if args.method in ("dvr", "both"):
-        results["DVR"] = _dvr(p, args.count, args.grid_M, args.box_b)
+        results["DVR"] = dvr.solve_spectrum(p, args.grid_M, args.box_b, args.count)
     if args.method in ("hofd", "both"):
         count = args.count
         if count is None and isinstance(p, TrigParams):
-            count = TRIG_LEVELS
+            count = dvr.TRIG_LEVELS
         elif count is None:
             # as many levels as DVR finds; DVR alone runs on its default grid,
             # since --grid-M sizes the HOFD grid here
             count = len((results.get("DVR")
-                         or _dvr(p, None, b=args.box_b)).eigenvalues)
+                         or dvr.solve_spectrum(p, b=args.box_b)).eigenvalues)
         cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M, k=args.stencil_k)
         results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=count)
     return results
@@ -181,10 +167,9 @@ def cmd_wavefunction(args, parser) -> int:
     else:
         x_max, abscissa, scale = p.a, "x/a", 1.0 / p.a
     states = args.states
-    # every bound level of the hyperbolic family; the finite well's levels
-    # never end, so it keeps those up to the highest state asked for
-    count = None if isinstance(p, HyperbolicParams) else max(states) + 1
-    bound = _dvr(p, count, args.grid_M, args.box_b).eigenvalues
+    # a hyperbolic spectrum stops early at its last bound level
+    bound = dvr.solve_spectrum(p, args.grid_M, args.box_b,
+                               max(states) + 1).eigenvalues
     bad = [m for m in states if m >= len(bound)]
     if bad:
         raise SolverError(f"state index {bad[0]} outside the {len(bound)} "
@@ -234,7 +219,7 @@ def _verify_tables(which: str, report: list) -> bool:
             continue
         for name, p in sets.items():
             for method, exp in spectra[name].items():
-                got = (_dvr(p, len(exp)) if method == "DVR"
+                got = (dvr.solve_spectrum(p, count=len(exp)) if method == "DVR"
                        else hofd.hofd_spectrum(p, count=len(exp))).eigenvalues
                 for n, (g, e) in enumerate(zip(got, exp)):
                     tol = reference.tolerance(table, method, n)

@@ -7,9 +7,10 @@ for a finite box (trigonometric family), both Colbert-Miller closed
 forms (J. Chem. Phys. 96, 1982 (1992)). Off the diagonal each is a
 Toeplitz part minus a Hankel part of one signed 1-D table over
 n = 0..2M-2. The index range 1..M-1 keeps the grid away from the
-singular endpoints automatically. A spectrum keeps the lowest levels
-(under an asymptote, for the hyperbolic family), and the eigen-residual
-contract covers exactly those kept pairs.
+singular endpoints automatically. `solve_spectrum` picks the operator
+from the parameters' family and keeps the lowest levels (under an
+asymptote, for the hyperbolic family); the eigen-residual contract
+covers exactly those kept pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .potentials import (
 DEFAULT_M_HYPERBOLIC = 200
 DEFAULT_B = 10.0
 DEFAULT_M_TRIG = 300
+# finite-well levels kept when no count is given
+TRIG_LEVELS = 10
 
 
 @dataclass(frozen=True)
@@ -93,46 +96,27 @@ def kinetic_box(M: int, a: float) -> np.ndarray:
         return t * math.pi**2 / (4.0 * a**2)
 
 
-def hamiltonian(kinetic: np.ndarray, potential_on_grid: np.ndarray) -> np.ndarray:
-    """Kinetic matrix plus diagonal potential."""
-    v = np.asarray(potential_on_grid, dtype=float)
-    if v.shape != (kinetic.shape[0],):
-        raise ValueError("potential sample count must match the kinetic matrix")
-    h = kinetic.copy()
-    h[np.diag_indices_from(h)] += v
-    return h
-
-
-def solve_spectrum(h: np.ndarray, count: int | None,
-                   config: dict | None = None,
-                   below: float = math.inf) -> SpectrumResult:
-    """The `count` lowest eigenvalues under `below` (all of them if `count`
-    is None) of a symmetric Hamiltonian, ascending, with the largest
-    eigen-residual among them, relative to max(|h|, 1)."""
-    w, _, worst = linalg.eig_symmetric(h, count, below)
-    return SpectrumResult(eigenvalues=tuple(float(x) for x in w),
-                          config=dict(config or {}), max_residual=worst)
-
-
-def hyperbolic_spectrum(p: HyperbolicParams, M: int = DEFAULT_M_HYPERBOLIC,
-                        b: float = DEFAULT_B, count: int | None = None) -> SpectrumResult:
-    """Bound spectrum of the hyperbolic potential.
-
-    Eigenvalues at or above the x -> infinity asymptote (zero) are
-    discretized-continuum artifacts of the finite box and are dropped.
-    """
+def solve_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
+                   b: float = DEFAULT_B, count: int | None = None) -> SpectrumResult:
+    """The `count` lowest levels of p's family, ascending, with the largest
+    eigen-residual among them, relative to max(|h|, 1). The hyperbolic
+    family is solved on (0, b) and keeps only levels below the asymptote
+    (the others are continuum artifacts of the box), all of them if `count`
+    is None; the finite well is solved on (0, a), `b` unused, and keeps
+    TRIG_LEVELS levels if `count` is None. M defaults per family."""
     if count is not None and count < 0:
         raise ValueError("count must be >= 0")
-    x = grid(M, b)
-    h = hamiltonian(kinetic_semiinfinite(M, b), eval_hyperbolic(p, x))
-    return solve_spectrum(h, count, config={"M": M, "b": b}, below=ASYMPTOTE)
-
-
-def trig_spectrum(p: TrigParams, M: int = DEFAULT_M_TRIG, count: int = 10,
-                  reflected: bool = False) -> SpectrumResult:
-    """Lowest `count` eigenvalues of the trigonometric potential well."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    x = grid(M, p.a)
-    h = hamiltonian(kinetic_box(M, p.a), eval_trig(p, x, reflected=reflected))
-    return solve_spectrum(h, count, config={"M": M, "a": p.a})
+    if isinstance(p, HyperbolicParams):
+        M = DEFAULT_M_HYPERBOLIC if M is None else M
+        h, v = kinetic_semiinfinite(M, b), eval_hyperbolic(p, grid(M, b))
+        config, below = {"M": M, "b": b}, ASYMPTOTE
+    else:
+        M = DEFAULT_M_TRIG if M is None else M
+        h, v = kinetic_box(M, p.a), eval_trig(p, grid(M, p.a))
+        config, below = {"M": M, "a": p.a}, math.inf
+        if count is None:
+            count = TRIG_LEVELS
+    h[np.diag_indices_from(h)] += v  # the kinetic matrix is ours to overwrite
+    w, _, worst = linalg.eig_symmetric(h, count, below)
+    return SpectrumResult(eigenvalues=tuple(float(x) for x in w),
+                          config=config, max_residual=worst)

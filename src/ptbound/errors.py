@@ -18,7 +18,8 @@ class SingularParameterError(PtboundError):
 
 
 class TraValidityError(PtboundError):
-    """Energy or potential parameters outside the series-solution window."""
+    """Energy or potential parameters outside the series-solution window, or
+    a series that leaves the floating-point range where it is sampled."""
 
 
 class NonSymmetricError(PtboundError):

@@ -12,7 +12,8 @@ and its mirror image V(a - x), which is isospectral.
 
 Critical points of the hyperbolic potential are roots of a cubic in
 s = sinh^2(kx); the sign pattern of that cubic drives the phase
-classification (bound / bound+resonance / resonance / scattering).
+classification (B / B&R / R / S), a necessary condition: a well below
+the asymptote can hold bound states, but a B well may hold no level.
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ class TrigParams:
 
 
 class Phase(Enum):
-    """Spectral phase of the hyperbolic potential."""
+    """Spectral phase of the hyperbolic potential (a necessary condition)."""
 
-    B = "B"        # bound states only
-    BR = "B&R"     # bound states and resonances
-    R = "R"        # resonances only
-    S = "S"        # scattering states only
+    B = "B"        # a well below the asymptote, no barrier above it
+    BR = "B&R"     # a well below the asymptote and a barrier above it
+    R = "R"        # a barrier above the asymptote, no well below it
+    S = "S"        # neither: scattering states only
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,13 @@ def eval_hyperbolic(p: HyperbolicParams, x):
     return out if out.ndim else float(out)
 
 
-def eval_trig(p: TrigParams, x, reflected: bool = False):
-    """Evaluate the trigonometric potential (or its mirror) at 0 < x < a."""
+def eval_trig(p: TrigParams, x):
+    """Evaluate the trigonometric potential at 0 < x < a."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0) or np.any(x >= p.a):
         raise DomainError("trigonometric potential requires 0 < x < a")
     u = p.rho * x
-    if reflected:
-        sn, cs = np.cos(u), np.sin(u)  # swap roles: V(a-x)
-    else:
-        sn, cs = np.sin(u), np.cos(u)
+    sn, cs = np.sin(u), np.cos(u)
     out = p.V0 / cs**4 + p.C / cs**2 + p.D / sn**2
     return out if out.ndim else float(out)
 

@@ -167,7 +167,8 @@ def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
     """Sample the (un-normalized) wavefunction series on x_grid.
 
     Grid points on or outside the open domain are excluded with a warning.
-    Returns (kept_x, psi).
+    Returns (kept_x, psi). A sample that is not finite (far out, the
+    prefactor can be 0 * inf) raises TraValidityError.
     """
     x = np.asarray(x_grid, dtype=float)
     if isinstance(p, HyperbolicParams):
@@ -179,22 +180,28 @@ def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
                       "the open domain", RuntimeWarning, stacklevel=2)
     x = x[keep]
     mu, nu = sol.basis.mu, sol.basis.nu
-    if isinstance(p, HyperbolicParams):
-        u = p.kappa * x
-        y = 2.0 / np.tanh(u) ** 2 - 1.0
-        prefactor = (math.sqrt(2.0) ** (mu + nu + 0.5)
-                     * np.cosh(u) ** (nu + 0.5)
-                     * np.sinh(u) ** (-mu - nu - 0.5))
-    else:
-        u = p.rho * x
-        y = 2.0 * np.tan(u) ** 2 + 1.0
-        prefactor = (math.sqrt(2.0) ** (mu + nu + 0.5)
-                     * np.sin(u) ** (mu + 0.5)
-                     * np.cos(u) ** (-mu - nu - 0.5))
-    series_sum = np.zeros_like(y)
-    for f, q in zip(sol.coeffs, _q_forward(len(sol.coeffs) - 1, mu, nu, y)):
-        series_sum += f * q
-    return x, prefactor * series_sum
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if isinstance(p, HyperbolicParams):
+            u = p.kappa * x
+            y = 2.0 / np.tanh(u) ** 2 - 1.0
+            prefactor = (math.sqrt(2.0) ** (mu + nu + 0.5)
+                         * np.cosh(u) ** (nu + 0.5)
+                         * np.sinh(u) ** (-mu - nu - 0.5))
+        else:
+            u = p.rho * x
+            y = 2.0 * np.tan(u) ** 2 + 1.0
+            prefactor = (math.sqrt(2.0) ** (mu + nu + 0.5)
+                         * np.sin(u) ** (mu + 0.5)
+                         * np.cos(u) ** (-mu - nu - 0.5))
+        series_sum = np.zeros_like(y)
+        for f, q in zip(sol.coeffs, _q_forward(len(sol.coeffs) - 1, mu, nu, y)):
+            series_sum += f * q
+        psi = prefactor * series_sum
+    bad = ~np.isfinite(psi)
+    if bad.any():
+        raise TraValidityError(f"wavefunction at E={sol.energy} is not finite "
+                               f"in floating point from x={x[bad][0]:g}")
+    return x, psi
 
 
 def count_nodes(psi: np.ndarray) -> int:

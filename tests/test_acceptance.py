@@ -8,7 +8,7 @@ import pytest
 from conftest import dense
 
 from ptbound import dvr, hofd, orthopoly, reference, tra
-from ptbound.potentials import HyperbolicParams, Phase, classify_phase
+from ptbound.potentials import HyperbolicParams, Phase, classify_phase, eval_trig
 
 HYP = reference.HYPERBOLIC_SETS
 TRIG = reference.TRIG_SETS
@@ -24,7 +24,7 @@ def test_criterion_1_table1_dvr():
     worst = 0.0
     ok = True
     for name, p in HYP.items():
-        got = dvr.hyperbolic_spectrum(p).eigenvalues
+        got = dvr.solve_spectrum(p).eigenvalues
         exp = reference.HYPERBOLIC_REFERENCE[name]["DVR"]
         assert len(got) == 3
         for n, (g, e) in enumerate(zip(got, exp)):
@@ -45,7 +45,7 @@ def test_criterion_2_table1_hofd():
         for g, e in zip(got, exp):
             worst = max(worst, abs(g - e))
             ok &= abs(g - e) <= 1e-7
-        got_dvr = dvr.hyperbolic_spectrum(p).eigenvalues
+        got_dvr = dvr.solve_spectrum(p).eigenvalues
         for n in (0, 1):
             ok &= abs(got[n] - got_dvr[n]) <= 2e-8
     _report(2, "bound spectrum, HOFD + cross-solver", worst, ok)
@@ -57,7 +57,7 @@ def test_criterion_3_table2():
     worst = 0.0
     ok = True
     for name, p in TRIG.items():
-        for method, got in (("DVR", dvr.trig_spectrum(p).eigenvalues),
+        for method, got in (("DVR", dvr.solve_spectrum(p).eigenvalues),
                             ("HOFD", hofd.hofd_spectrum(p, count=10).eigenvalues)):
             exp = reference.TRIG_REFERENCE[name][method]
             for n, (g, e) in enumerate(zip(got, exp)):
@@ -127,7 +127,7 @@ def test_criterion_5_polynomial_identities():
         ok &= abs(sum(terms)) <= 1e-7 * max(1.0, *(abs(t) for t in terms))
     # Favard positivity of the series recursion products
     for name, p in HYP.items():
-        for e in dvr.hyperbolic_spectrum(p).eigenvalues:
+        for e in dvr.solve_spectrum(p).eigenvalues:
             basis = tra.hyperbolic_basis(p, e)
             _, c, d = tra.recursion_coefficients(p, basis)
             ok &= all(cn * dn > 0 for cn, dn in zip(c, d))
@@ -150,16 +150,16 @@ def test_criterion_6_series_solver_consistency():
     """
     failures = []
     worst = 0.0
-    from ptbound.dvr import grid, hamiltonian, kinetic_box, kinetic_semiinfinite
+    from ptbound.dvr import grid, kinetic_box, kinetic_semiinfinite
     from ptbound.potentials import eval_hyperbolic, eval_trig
 
     for name, p in HYP.items():
         if tra.branch_window(p) is None:
             continue
         x = grid(200, 10.0)
-        h = hamiltonian(kinetic_semiinfinite(200, 10.0), eval_hyperbolic(p, x))
+        h = kinetic_semiinfinite(200, 10.0) + np.diag(eval_hyperbolic(p, x))
         fine = np.linspace(0.0, 10.0, 2002)[1:-1]
-        for m, e in enumerate(dvr.hyperbolic_spectrum(p).eigenvalues):
+        for m, e in enumerate(dvr.solve_spectrum(p).eigenvalues):
             sol = tra.assemble_solution(p, e)
             _, psi = tra.eval_wavefunction(sol, p, x)
             rq = _rayleigh_quotient(h, psi)
@@ -174,9 +174,9 @@ def test_criterion_6_series_solver_consistency():
         if tra.branch_window(p) is None:
             continue
         x = grid(300, p.a)
-        h = hamiltonian(kinetic_box(300, p.a), eval_trig(p, x))
+        h = kinetic_box(300, p.a) + np.diag(eval_trig(p, x))
         fine = np.linspace(0.0, p.a, 2002)[1:-1]
-        for m, e in enumerate(dvr.trig_spectrum(p).eigenvalues):
+        for m, e in enumerate(dvr.solve_spectrum(p).eigenvalues):
             sol = tra.assemble_solution(p, e)
             _, psi = tra.eval_wavefunction(sol, p, x)
             rq = _rayleigh_quotient(h, psi)
@@ -193,9 +193,12 @@ def test_criterion_6_series_solver_consistency():
 
 
 def test_criterion_7_isospectrality():
+    # the mirror well V(a - x), sampled on the same grid
     p = TRIG["S3"]
-    plain = dvr.trig_spectrum(p, reflected=False).eigenvalues
-    mirror = dvr.trig_spectrum(p, reflected=True).eigenvalues
+    plain = dvr.solve_spectrum(p).eigenvalues
+    x = dvr.grid(dvr.DEFAULT_M_TRIG, p.a)
+    h = dvr.kinetic_box(dvr.DEFAULT_M_TRIG, p.a) + np.diag(eval_trig(p, p.a - x))
+    mirror = np.linalg.eigh(h)[0][:len(plain)]
     worst = max(abs(a - b) / abs(a) for a, b in zip(plain, mirror))
     ok = worst <= 1e-10
     _report(7, "mirror isospectrality", worst, ok)

@@ -55,13 +55,13 @@ def test_spectrum_s1_both(capsys):
 
 def test_spectrum_both_solves_dvr_once(capsys, monkeypatch):
     calls = []
-    solve = dvr.hyperbolic_spectrum
+    solve = dvr.solve_spectrum
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(dvr, "hyperbolic_spectrum", counted)
+    monkeypatch.setattr(dvr, "solve_spectrum", counted)
     code, _, _ = run(capsys, "spectrum", *S1_FLAGS, "--method", "both",
                      "--grid-M", "60")
     assert code == 0
@@ -181,8 +181,11 @@ def test_spd_nonfinite_bounds(capsys, bound):
     (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
     (["spectrum", *S1_FLAGS[:-1], "1e-200", "--method", "hofd"], 3),
     (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
-    (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "hofd"], 3)],
-    ids=["spd-inf", "kappa-dvr", "kappa-hofd", "a-dvr", "a-hofd"])
+    (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "hofd"], 3),
+    (["wavefunction", *S1_FLAGS[:7], "-4000", "--states", "34",
+      "--samples", "20"], 3)],
+    ids=["spd-inf", "kappa-dvr", "kappa-hofd", "a-dvr", "a-hofd",
+         "wavefunction-nan"])
 def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     # numpy's RuntimeWarnings once came before the error line; run as a
     # user would, with warnings shown, to see everything on stderr
@@ -266,7 +269,7 @@ def test_wavefunction_bad_state(capsys):
                          ids=["hyperbolic", "trig"])
 def test_wavefunction_negative_state_usage_error(capsys, flags, monkeypatch):
     # --states -1 once ran the DVR solve and exited 3 as a computation failure
-    monkeypatch.setattr(cli, "_dvr", None)  # no solve may run
+    monkeypatch.setattr(dvr, "solve_spectrum", None)  # no solve may run
     code, out, err = run(capsys, "wavefunction", *flags, "--states", "0", "-1")
     assert code == 2
     assert out == "" and "--states must be >= 0, got -1" in err

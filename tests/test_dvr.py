@@ -5,7 +5,12 @@ import pytest
 
 from ptbound import dvr, linalg
 from ptbound.errors import SolverError
-from ptbound.potentials import HyperbolicParams, TrigParams, eval_hyperbolic
+from ptbound.potentials import (
+    HyperbolicParams,
+    TrigParams,
+    eval_hyperbolic,
+    eval_trig,
+)
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
 S3 = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.0)
@@ -80,27 +85,74 @@ def test_config_validation():
                 kinetic(M, length)
 
 
-def test_hamiltonian_assembly():
-    t = dvr.kinetic_box(10, 1.0)
-    h = dvr.hamiltonian(t, np.zeros(9))
-    assert np.array_equal(h, t)
-    v = np.arange(9.0)
-    h = dvr.hamiltonian(t, v)
-    assert np.allclose(np.diag(h) - np.diag(t), v)
+def _hamiltonian_oracle(p, M, length, x=None):
+    # kinetic matrix plus the potential at the nodes x (the grid's by
+    # default) as a diagonal matrix, built outside solve_spectrum
+    if isinstance(p, HyperbolicParams):
+        kinetic, potential = dvr.kinetic_semiinfinite, eval_hyperbolic
+    else:
+        kinetic, potential = dvr.kinetic_box, eval_trig
+    x = dvr.grid(M, length) if x is None else x
+    return kinetic(M, length) + np.diag(potential(p, x))
+
+
+def test_hamiltonian_assembly(monkeypatch):
+    # the matrix solve_spectrum hands to the eigensolver is the kinetic
+    # matrix plus the diagonal potential, bit for bit, for either family
+    eig_symmetric = linalg.eig_symmetric
+    seen = []
+
+    def spy(h, *args):
+        seen.append(h.copy())
+        return eig_symmetric(h, *args)
+
+    monkeypatch.setattr(linalg, "eig_symmetric", spy)
+    dvr.solve_spectrum(S1, 40, 7.0, count=2)
+    dvr.solve_spectrum(S3, 40, count=2)
+    assert np.array_equal(seen[0], _hamiltonian_oracle(S1, 40, 7.0))
+    assert np.array_equal(seen[1], _hamiltonian_oracle(S3, 40, S3.a))
     # a non-finite potential is the eigensolver's to reject
+    t = dvr.kinetic_box(10, 1.0)
     with pytest.raises(SolverError, match="not finite"):
-        dvr.solve_spectrum(dvr.hamiltonian(t, np.full(9, np.inf)), 3)
-    with pytest.raises(ValueError):
-        dvr.hamiltonian(t, np.zeros(5))
+        eig_symmetric(t + np.diag(np.full(9, np.inf)), 3)
 
 
 def test_solve_spectrum_diagonal():
-    res = dvr.solve_spectrum(np.diag([4.0, 1.0]), 2)
-    assert res.eigenvalues == (1.0, 4.0)
+    w, _, _ = linalg.eig_symmetric(np.diag([4.0, 1.0]), 2)
+    assert tuple(w) == (1.0, 4.0)
+
+
+@pytest.mark.parametrize("p, M, length, count, config", [
+    (S1, 200, 10.0, None, {"M": 200, "b": 10.0}),
+    (S3, 300, S3.a, 10, {"M": 300, "a": S3.a})], ids=["S1", "S3"])
+def test_solve_spectrum_bitwise_oracle(p, M, length, count, config):
+    # every level below 0 of S1 and ten of the finite well, as eigh of the
+    # independently assembled Hamiltonian gives them
+    res = dvr.solve_spectrum(p, M, 10.0, count)
+    w = np.linalg.eigh(_hamiltonian_oracle(p, M, length))[0]
+    kept = count if count is not None else int(np.count_nonzero(w < 0.0))
+    assert res.eigenvalues == tuple(float(e) for e in w[:kept])
+    assert res.config == config
+
+
+@pytest.mark.parametrize("p", [S1, S3], ids=["hyperbolic", "trig"])
+def test_solve_spectrum_negative_count(p):
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        dvr.solve_spectrum(p, count=-1)
+
+
+def test_solve_spectrum_defaults_per_family():
+    # M defaults per family, and b has no effect on the finite well
+    assert dvr.solve_spectrum(S1).config == {"M": dvr.DEFAULT_M_HYPERBOLIC,
+                                             "b": dvr.DEFAULT_B}
+    trig = dvr.solve_spectrum(S3)
+    assert trig.config == {"M": dvr.DEFAULT_M_TRIG, "a": S3.a}
+    assert len(trig.eigenvalues) == dvr.TRIG_LEVELS
+    assert dvr.solve_spectrum(S3, b=40.0) == trig
 
 
 def _box_hamiltonian():
-    return dvr.hamiltonian(dvr.kinetic_box(40, 1.0), np.linspace(-5.0, 5.0, 39))
+    return dvr.kinetic_box(40, 1.0) + np.diag(np.linspace(-5.0, 5.0, 39))
 
 
 def _max_residual(h, w, v, k):
@@ -114,28 +166,25 @@ def test_solve_spectrum_residual_of_kept_pairs():
     # the largest residual among the `count` kept pairs, not all pairs
     h = _box_hamiltonian()
     w, v = np.linalg.eigh(h)
-    assert dvr.solve_spectrum(h, 0).max_residual == 0.0
+    assert linalg.eig_symmetric(h, 0)[2] == 0.0
     for count in (1, 3, 39):
-        res = dvr.solve_spectrum(h, count)
-        assert res.eigenvalues == tuple(w[:count])
-        assert res.max_residual == _max_residual(h, w, v, count)
+        got, _, resid = linalg.eig_symmetric(h, count)
+        assert tuple(got) == tuple(w[:count])
+        assert resid == _max_residual(h, w, v, count)
 
 
 def test_hyperbolic_residual_of_bound_levels():
     # the continuum pairs above E = 0 are dropped, and so is their residual
-    res = dvr.hyperbolic_spectrum(S1)
-    x = dvr.grid(dvr.DEFAULT_M_HYPERBOLIC, dvr.DEFAULT_B)
-    h = dvr.hamiltonian(dvr.kinetic_semiinfinite(dvr.DEFAULT_M_HYPERBOLIC,
-                                                 dvr.DEFAULT_B),
-                        eval_hyperbolic(S1, x))
+    res = dvr.solve_spectrum(S1)
+    h = _hamiltonian_oracle(S1, dvr.DEFAULT_M_HYPERBOLIC, dvr.DEFAULT_B)
     w, v = np.linalg.eigh(h)
     kept = len(res.eigenvalues)
     assert w[kept] >= 0.0 > w[kept - 1]
     assert res.eigenvalues == tuple(w[:kept])
     assert res.max_residual == _max_residual(h, w, v, kept)
-    assert (dvr.hyperbolic_spectrum(S1, count=1).max_residual
+    assert (dvr.solve_spectrum(S1, count=1).max_residual
             == _max_residual(h, w, v, 1))
-    assert dvr.hyperbolic_spectrum(S1, count=0).max_residual == 0.0
+    assert dvr.solve_spectrum(S1, count=0).max_residual == 0.0
 
 
 def test_residual_contract_covers_kept_pairs_only(monkeypatch):
@@ -153,13 +202,12 @@ def test_residual_contract_covers_kept_pairs_only(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted(2))
     with pytest.raises(SolverError):
-        dvr.solve_spectrum(h, 3)
+        linalg.eig_symmetric(h, 3)
     with pytest.raises(SolverError):
         linalg.eig_symmetric(h)
     monkeypatch.setattr(np.linalg, "eigh", corrupted(3))
-    res = dvr.solve_spectrum(h, 3)
-    assert res.eigenvalues == tuple(eigh(h)[0][:3])
     w, v, resid = linalg.eig_symmetric(h, 3)
+    assert tuple(w) == tuple(eigh(h)[0][:3])
     assert w.shape == (3,) and v.shape == (39, 3) and resid <= linalg.RESIDUAL_RTOL
 
 
@@ -167,14 +215,15 @@ def test_count_zero_keeps_no_pair():
     h = _box_hamiltonian()
     w, v, resid = linalg.eig_symmetric(h, 0)
     assert w.shape == (0,) and v.shape == (39, 0) and resid == 0.0
-    res = dvr.solve_spectrum(h, 0)
-    assert res.eigenvalues == () and res.max_residual == 0.0
+    for p in (S1, S3):
+        res = dvr.solve_spectrum(p, count=0)
+        assert res.eigenvalues == () and res.max_residual == 0.0
     w, _, resid = linalg.eig_symmetric(h, below=-math.inf)
     assert w.shape == (0,) and resid == 0.0
 
 
 def test_hyperbolic_spectrum_s1():
-    res = dvr.hyperbolic_spectrum(S1)
+    res = dvr.solve_spectrum(S1)
     assert len(res.eigenvalues) == 3
     assert res.eigenvalues[0] == pytest.approx(-17.292792568552, abs=1e-8)
     assert all(e < 0.0 for e in res.eigenvalues)
@@ -182,14 +231,17 @@ def test_hyperbolic_spectrum_s1():
 
 
 def test_grid_refinement_convergence():
-    e150 = dvr.hyperbolic_spectrum(S1, M=150).eigenvalues[0]
-    e200 = dvr.hyperbolic_spectrum(S1, M=200).eigenvalues[0]
+    e150 = dvr.solve_spectrum(S1, M=150).eigenvalues[0]
+    e200 = dvr.solve_spectrum(S1, M=200).eigenvalues[0]
     assert abs(e200 - e150) < 1e-6
 
 
 def test_isospectrality_reflection():
-    plain = dvr.trig_spectrum(S3, reflected=False).eigenvalues
-    mirror = dvr.trig_spectrum(S3, reflected=True).eigenvalues
+    # the mirror well V(a - x) on the same grid
+    plain = dvr.solve_spectrum(S3).eigenvalues
+    x = dvr.grid(dvr.DEFAULT_M_TRIG, S3.a)
+    h = _hamiltonian_oracle(S3, dvr.DEFAULT_M_TRIG, S3.a, S3.a - x)
+    mirror = np.linalg.eigh(h)[0][:len(plain)]
     for e1, e2 in zip(plain, mirror):
         assert abs(e1 - e2) <= 1e-10 * abs(e1)
 
@@ -197,11 +249,11 @@ def test_isospectrality_reflection():
 def test_variational_bound():
     x = np.linspace(1e-3, 20.0, 20000)
     vmin = eval_hyperbolic(S1, x).min()
-    for e in dvr.hyperbolic_spectrum(S1).eigenvalues:
+    for e in dvr.solve_spectrum(S1).eigenvalues:
         assert e > vmin
 
 
 def test_trig_spectrum_s3():
-    res = dvr.trig_spectrum(S3)
+    res = dvr.solve_spectrum(S3)
     assert res.eigenvalues[0] == pytest.approx(16.797026, abs=1e-4)
     assert len(res.eigenvalues) == 10

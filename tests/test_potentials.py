@@ -83,19 +83,23 @@ def test_eval_hyperbolic_asymptote():
     assert abs(eval_hyperbolic(S1, 30.0 / S1.kappa) - ASYMPTOTE) <= 1e-12
 
 
+def _mirror_trig(p, x):
+    # V(a - x) written out: rho*a = pi/2 swaps sin and cos
+    sn, cs = np.cos(p.rho * x), np.sin(p.rho * x)
+    return p.V0 / cs**4 + p.C / cs**2 + p.D / sn**2
+
+
 def test_eval_trig_midpoint():
     p = TrigParams(V0=2.0, C=-1.0, D=3.0, a=1.0)
     got = eval_trig(p, 0.5)
     assert got == pytest.approx(4 * 2.0 + 2 * (-1.0) + 2 * 3.0, abs=1e-12)
-    assert eval_trig(p, 0.5, reflected=True) == pytest.approx(got, abs=1e-12)
+    assert _mirror_trig(p, 0.5) == pytest.approx(got, abs=1e-12)
 
 
 def test_eval_trig_reflection():
-    assert eval_trig(S3, 0.25, reflected=False) == pytest.approx(
-        eval_trig(S3, 0.75, reflected=True), rel=1e-14)
+    assert eval_trig(S3, 0.25) == pytest.approx(_mirror_trig(S3, 0.75), rel=1e-14)
     x = np.linspace(0.05, 0.95, 19)
-    assert np.allclose(eval_trig(S3, x), eval_trig(S3, S3.a - x, reflected=True),
-                       rtol=1e-13)
+    assert np.allclose(eval_trig(S3, x), _mirror_trig(S3, S3.a - x), rtol=1e-13)
 
 
 def test_eval_trig_domain():

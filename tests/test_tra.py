@@ -114,8 +114,8 @@ def test_branch_window():
 
 def test_recursion_coefficients_favard():
     for p, energies in (
-            (S1, dvr.hyperbolic_spectrum(S1).eigenvalues),
-            (S4, dvr.trig_spectrum(S4).eigenvalues)):
+            (S1, dvr.solve_spectrum(S1).eigenvalues),
+            (S4, dvr.solve_spectrum(S4).eigenvalues)):
         for e in energies:
             if isinstance(p, HyperbolicParams):
                 basis = tra.hyperbolic_basis(p, e)
@@ -297,9 +297,7 @@ def _identity_error(p, e, points=8):
 
 
 def _levels(p):
-    if isinstance(p, HyperbolicParams):
-        return dvr.hyperbolic_spectrum(p).eigenvalues
-    return dvr.trig_spectrum(p).eigenvalues
+    return dvr.solve_spectrum(p).eigenvalues
 
 
 @pytest.mark.parametrize("p", [
@@ -355,6 +353,19 @@ def test_eval_wavefunction_trig_decay():
     assert abs(psi[2]) < 1e-2 * abs(psi[1])
 
 
+def test_eval_wavefunction_nonfinite_raises():
+    # far out, cosh^(nu + 1/2) underflows to 0 while sinh^(-mu - nu - 1/2)
+    # overflows; those 0 * inf samples were once returned as nan
+    deep = HyperbolicParams(10.0, -20.0, -4000.0, 1.0)
+    for p, e, near, far in ((deep, dvr.solve_spectrum(deep).eigenvalues[34],
+                             8.5, 9.5), (S1, E1[2], 119.0, 121.0)):
+        sol = tra.assemble_solution(p, e)
+        _, psi = tra.eval_wavefunction(sol, p, np.array([1.0, near]))
+        assert np.isfinite(psi).all()
+        with pytest.raises(TraValidityError, match=f"from x={far:g}"):
+            tra.eval_wavefunction(sol, p, np.array([1.0, near, far]))
+
+
 def test_eval_wavefunction_excludes_boundary():
     sol = tra.assemble_solution(S4, 29.961374)
     with pytest.warns(RuntimeWarning):
@@ -364,7 +375,7 @@ def test_eval_wavefunction_excludes_boundary():
 
 
 def test_truncation_monotone_trig():
-    energies = dvr.trig_spectrum(S3).eigenvalues
+    energies = dvr.solve_spectrum(S3).eigenvalues
     ns = [tra.trig_basis(S3, e).N_m for e in energies]
     assert all(a <= b for a, b in zip(ns, ns[1:]))
 
