@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -264,8 +265,22 @@ def cmd_verify(args, parser) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in any float form (`--A -2e1`, `-.5`) as a
+    value, as argparse already reads `-20`. No option of ptbound looks
+    like a negative number, so none is shadowed. The pattern is private
+    argparse state, and subcommands inherit it through add_subparsers'
+    default `parser_class=type(self)`; test_negative_exponent_value guards
+    both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ptbound",
         description="Bound-state spectra and wavefunctions of generalized "
                     "Poschl-Teller potentials")

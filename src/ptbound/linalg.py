@@ -74,33 +74,12 @@ def eig_symmetric(a: np.ndarray, count: int | None = None,
     return w, v, _residual(a @ v, v, w, norm)
 
 
-def eig_general(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenvalues (complex) and right eigenvectors of a real square matrix.
-
-    The dense reference that the tests hold `eig_shift_invert` to.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eig_general requires a square matrix")
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"general eigensolve failed: {exc}") from exc
-    return w, v
-
-
 def near_real_order(w: np.ndarray) -> np.ndarray:
     """Indices of the eigenvalues within REALNESS_RTOL * max(|w|, 1) of the
     real axis, ascending by real part (ties in index order)."""
     radius = np.abs(w).max() if w.size else 0.0
     near = np.flatnonzero(np.abs(w.imag) <= REALNESS_RTOL * max(radius, 1.0))
     return near[np.argsort(w.real[near], kind="stable")]
-
-
-def near_real_sorted(w: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues near the real axis (`near_real_order`),
-    ascending."""
-    return w[near_real_order(w)].real
 
 
 def shifted_solver(band: np.ndarray,

@@ -106,17 +106,3 @@ def jacobi_q_oracle(n: int, jp: JacobiParams, y):
     prefactor = pochhammer(mu + 1, n) / math.factorial(n)
     out = prefactor * total
     return out if out.ndim else float(out)
-
-
-def jacobi_q_norm(n: int, jp: JacobiParams) -> float:
-    """Squared weighted L2 norm of Q_n on [1, inf), closed Gamma form."""
-    _check_degree(n, jp)
-    mu, nu = jp.mu, jp.nu
-    try:
-        num = (math.gamma(n + mu + 1) * math.gamma(n + nu + 1)
-               * math.gamma(-n - mu - nu))
-        den = math.gamma(n + 1) * math.gamma(-nu) * math.gamma(nu + 1)
-    except ValueError as exc:
-        raise SingularParameterError(f"Gamma pole in norm formula: {exc}") from exc
-    return ((-1.0) ** (n + 1) * 2.0 ** (mu + nu + 1)
-            / (2 * n + mu + nu + 1) * num / den)

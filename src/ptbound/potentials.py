@@ -11,13 +11,16 @@ Trigonometric family (finite well, 0 < x < a, rho = pi/2a):
 and its mirror image V(a - x), which is isospectral.
 
 Critical points of the hyperbolic potential are roots of a cubic in
-s = sinh^2(kx); the sign pattern of that cubic drives the phase
-classification (B / B&R / R / S), a necessary condition: a well below
-the asymptote can hold bound states, but a B well may hold no level.
+s = sinh^2(kx). Two sign tests on that cubic's coefficients, one for a
+well below the asymptote and one (its discriminant) for two critical
+points, give the phase label (B / B&R / R / S) without finding a root.
+A label is a necessary condition: a well below the asymptote can hold
+bound states, but a B well may hold no level.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -25,12 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-
-# Double roots of the critical cubic sit on phase boundaries; collapse
-# them toward the fewer-roots phase.
-ROOT_DEDUP_RTOL = 1e-9
-# A root must leave a residual of at most this times max|c| * max(1, s)^3.
-ROOT_RESIDUAL_RTOL = 1e-10
 
 
 def _check_finite(params) -> None:
@@ -90,15 +87,6 @@ class Phase(Enum):
     S = "S"        # neither: scattering states only
 
 
-@dataclass(frozen=True)
-class SpectralPhase:
-    """Phase tag plus the critical-point evidence that produced it."""
-
-    phase: Phase
-    positive_roots: tuple[float, ...]
-    min_value: float | None  # potential at the well minimum; None for S
-
-
 def eval_hyperbolic(p: HyperbolicParams, x):
     """Evaluate the hyperbolic potential at x > 0 (scalar or array)."""
     x = np.asarray(x, dtype=float)
@@ -128,185 +116,85 @@ def critical_cubic(p: HyperbolicParams) -> tuple[float, float, float, float]:
     return (p.A + p.B, 2.0 * (p.V0 + p.A), 4.0 * p.V0 + p.A, 2.0 * p.V0)
 
 
-def _newton_polish(cubic, r, steps=40):
-    """Newton steps from every finite candidate r[i, j] toward a root of the
-    cubic with coefficients cubic[:, i]. Each candidate stops on its own rule,
-    and only the unfinished ones are stepped."""
-    r = r.copy()
-    flat = r.reshape(-1)
-    active = np.flatnonzero(np.isfinite(flat))
-    c3, c2, c1, c0 = np.repeat(cubic, r.shape[1], axis=1)[:, active]
-    x = flat[active]
-    for _ in range(steps):
-        if not active.size:
-            break
-        f = ((c3 * x + c2) * x + c1) * x + c0
-        df = (3.0 * c3 * x + 2.0 * c2) * x + c1
-        go = np.flatnonzero((df != 0.0) & (f != 0.0))
-        step = f[go] / df[go]
-        x = x[go] - step
-        flat[active[go]] = x
-        # a non-finite iterate stays non-finite, and is dropped later
-        more = np.abs(step) > 1e-15 * np.maximum(np.abs(x), 1.0)
-        keep = go[more]
-        active, x = active[keep], x[more]
-        c3, c2, c1, c0 = c3[keep], c2[keep], c1[keep], c0[keep]
-    return r
-
-
-def _quadratic_roots(a, b, c):
-    """Both real roots of a s^2 + b s + c (a != 0) in the cancellation-free
-    form, as an (n, 2) array; NaN where they are complex."""
-    disc = b * b - 4.0 * a * c
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), np.where(b != 0.0, b, 1.0)))
-    return np.stack([c / q, q / a], axis=1)
-
-
-def _dominant_root(c3, c2, c1, c0):
-    """The closed-form real root of largest magnitude of each cubic with
-    c3 != 0 (the simple one beside a double root), and the mask of triple
-    roots, which are not deflated."""
-    # depressed cubic t^3 + pt + q with s = t - c2/(3 c3); rescale t by
-    # lam so the classification cannot under/overflow for extreme inputs
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    pp = c - b * b / 3.0
-    qq = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    shift = -b / 3.0
-    lam = np.maximum(np.sqrt(np.abs(pp)), np.abs(qq) ** (1.0 / 3.0))
-    pp /= lam * lam
-    qq /= lam**3
-    disc = -4.0 * pp**3 - 27.0 * qq * qq
-    # three distinct real roots (trigonometric form)
-    m = 2.0 * np.sqrt(-pp / 3.0)
-    phi = np.arccos(np.clip(3.0 * qq / (pp * m), -1.0, 1.0))
-    trig = m[:, None] * np.cos((phi[:, None] - 2.0 * np.pi * np.arange(3)) / 3.0)
-    # the simple root beside a double root, else the one real root (Cardano)
-    half_q = -qq / 2.0
-    rad = np.sqrt(qq * qq / 4.0 + pp**3 / 27.0)
-    u = np.copysign(np.abs(half_q + rad) ** (1.0 / 3.0), half_q + rad)
-    v = np.copysign(np.abs(half_q - rad) ** (1.0 / 3.0), half_q - rad)
-    one = np.where(disc == 0.0, 3.0 * qq / pp, u + v)
-    t = np.where((disc > 0.0)[:, None], trig, one[:, None])
-    s = lam[:, None] * t + shift[:, None]
-    flat = lam == 0.0
-    s[flat] = shift[flat, None]
-    return np.take_along_axis(s, np.abs(s).argmax(axis=1)[:, None], 1)[:, 0], flat
-
-
-def _real_roots(c3, c2, c1, c0):
-    """Real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0 for each element of the
-    1-D coefficient arrays: an (n, 3) array, ascending per row, NaN-padded.
-
-    The closed form (discriminant classification of the depressed cubic)
-    gives the root of largest magnitude; the other two are the roots of the
-    quadratic left after deflating by it, since for small c3 the closed form
-    cancels and can report one root where there are three. Every candidate
-    gets a Newton polish on the cubic. Degenerate leading coefficients fall
-    back to the quadratic/linear case.
-    Roots closer than ROOT_DEDUP_RTOL (relative) are merged, and a polished
-    candidate the cubic does not confirm is dropped: its residual must be at
-    most ROOT_RESIDUAL_RTOL * max|c| * max(1, s)^3.
-    """
-    cubic = np.array(np.broadcast_arrays(c3, c2, c1, c0), dtype=float).reshape(4, -1)
-    scale = np.abs(cubic).max(axis=0)
-    if not scale.all():
-        raise ValueError("all cubic coefficients are zero")
-    # a leading coefficient negligible against the others makes the closed
-    # form overflow; treat it as the degenerate lower-order case
-    cut = cubic.copy()
-    c3, c2, c1, c0 = cut
-    c3[np.abs(c3) <= 1e-13 * scale] = 0.0
-    c2[(c3 == 0.0) & (np.abs(c2) <= 1e-13 * scale)] = 0.0
-    c1[(c3 == 0.0) & (c2 == 0.0) & (np.abs(c1) <= 1e-13 * scale)] = 0.0
-
-    r = np.full((len(scale), 3), np.nan)
-    with np.errstate(all="ignore"):
-        lin = (c3 == 0.0) & (c2 == 0.0) & (c1 != 0.0)
-        r[lin, 0] = -c0[lin] / c1[lin]
-        quad = (c3 == 0.0) & (c2 != 0.0)
-        r[quad, :2] = _quadratic_roots(c2[quad], c1[quad], c0[quad])
-        cub = np.flatnonzero(c3 != 0.0)
-        r[cub, 0], flat = _dominant_root(c3[cub], c2[cub], c1[cub], c0[cub])
-        r = _newton_polish(cut, r)
-        # the other two roots: backward deflation by the polished dominant
-        # root is stable, and their quadratic cannot cancel as the closed
-        # form does for small c3
-        rows = cub[~flat]
-        r1 = r[rows, 0]
-        b0 = -c0[rows] / r1
-        b1 = (b0 - c1[rows]) / r1
-        r[rows, 1:] = _newton_polish(cut[:, rows],
-                                     _quadratic_roots(c3[rows], b1, b0))
-
-        # Newton started at a spurious double root (its pair went complex)
-        # can run off to inf or NaN, and one started from a closed form that
-        # cancelled can stop far from any root
-        o3, o2, o1, o0 = cubic[:, :, None]
-        resid = np.where(r <= 1.0, ((o3 * r + o2) * r + o1) * r + o0,
-                         ((o0 / r + o1) / r + o2) / r + o3)  # no overflow
-        ok = (r > 0.0) & (r < np.inf) & (
-            np.abs(resid) <= ROOT_RESIDUAL_RTOL * scale[:, None])
-    r = np.sort(np.where(ok, r, np.nan), axis=1)
-    last = r[:, 0]
-    for j in (1, 2):
-        dup = (np.abs(r[:, j] - last)
-               <= ROOT_DEDUP_RTOL * np.maximum(np.abs(r[:, j]), np.abs(last)))
-        r[dup, j] = np.nan
-        last = np.where(np.isnan(r[:, j]), last, r[:, j])
-    return np.sort(r, axis=1)
-
-
-def positive_real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots s > 0 of c3 s^3 + c2 s^2 + c1 s + c0, ascending (see
-    `_real_roots`)."""
-    return [float(s) for s in _real_roots(c3, c2, c1, c0)[0] if s == s]
-
-
 # The potential vanishes as x -> infinity: every term decays.
 ASYMPTOTE = 0.0
 PHASES = np.array(list(Phase), dtype=object)
-# B rows classified at once by spd_grid; bounds its temporary arrays
-SPD_BLOCK_ROWS = 20
 
 
-def _phases(p: HyperbolicParams):
-    """Phase of every (A, B) in p, whose A and B may be arrays (broadcast).
+def classify_phase(p: HyperbolicParams):
+    """Spectral phase of the hyperbolic potential: a Phase, or an object
+    array of them when A and B are arrays (broadcast).
 
-    Returns flat arrays: indices into PHASES, the (n, 3) NaN-padded roots of
-    the critical cubic, and the well minimum (NaN for S).
+    With s = sinh^2(kx) > 0, V = V0/s^2 + A/s + B/(1+s), and dV/ds = 0 is
+    c(s) = c3 s^3 + c2 s^2 + c1 s + c0 = 0 (`critical_cubic`). The label is
+    read off two sign tests on c, homogeneous in (V0, A, B), so it is
+    scale-free, and no root is computed:
+
+    - well (V < 0 somewhere): s^2 (1+s) V = (A+B) s^2 + (V0+A) s + V0 is
+      negative for some s > 0, i.e. c3 < 0, or c2 < 0 and c2^2 > 8 c3 c0;
+    - two critical points: c3 > 0, c2 < 0 and the discriminant
+      D = 18 c3 c2 c1 c0 - 4 c2^3 c0 + c2^2 c1^2 - 4 c3 c1^3 - 27 c3^2 c0^2
+      is positive.
+
+    Why this is exact: c0 = 2 V0 > 0 and c1 - c2/2 = 3 V0 > 0 (so c1 < 0
+    implies c2 < 0), so by Descartes' rule of signs c has exactly one
+    positive root when c3 < 0, and zero or two when c3 > 0: two when D > 0
+    (three real roots) and c2 < 0 (the signs of c change). V starts at +inf
+    as s -> 0. With a well and c3 > 0, V runs +inf -> below 0 -> above 0 ->
+    0+, so a barrier follows the well: B&R. With a well otherwise, B.
+    Without a well, two critical points are a minimum >= 0 followed by a
+    higher maximum: R. Otherwise V has at most one critical point, or a
+    double one (D = 0), and has no barrier: S.
+
+    A leading coefficient |c3| <= 1e-13 max|c| counts as A + B = 0 wherever
+    the sign of c3 is read, so a well is then B and no well S; c2^2 > 8 c3 c0
+    reads c3 as it is. The products in the tests are formed from the
+    mantissas and powers of 2 of c, so they hold for any finite c.
+
+    A label is a necessary condition: a well below the asymptote admits
+    bound states, a barrier above it resonances, but a B well may hold no
+    level.
     """
-    V0, A, B, *cubic = np.broadcast_arrays(p.V0, p.A, p.B, *critical_cubic(p))
-    s = _real_roots(*(np.ravel(c) for c in cubic))
-    V0, A, B = (np.ravel(x)[:, None] for x in (V0, A, B))
-    with np.errstate(all="ignore"):
-        v = V0 / s**2 + A / s + B / (1.0 + s)
-        # d^2V/ds^2; sign matches d^2V/dx^2 at critical points since ds/dx > 0
-        v2 = 6.0 * V0 / s**4 + 2.0 * A / s**3 + 2.0 * B / (1.0 + s) ** 3
-    minimum = v2 > 0.0
-    has_min = minimum.any(axis=1)
-    min_value = np.where(minimum, v, np.inf).min(axis=1)
-    well = has_min & (min_value < 0.0)
-    barrier = ((v2 < 0.0) & (v > ASYMPTOTE)).any(axis=1)
-    # indices into PHASES (B, B&R, R, S). A well and a barrier need two
-    # distinct roots; without a well, a barrier over a non-negative minimum is R
-    code = np.select([well & barrier, well, barrier & has_min], [1, 0, 2], 3)
-    return code, s, np.where(code == 3, np.nan, min_value)
+    c3, c2, c1, c0 = critical_cubic(p)
+    # |c3| <= 1e-13 max|c| counts as A + B = 0 (c3 need not enter the max:
+    # when it is the largest, only c3 = 0 passes)
+    cut = abs(c3) <= 1e-13 * np.maximum(np.maximum(abs(c2), abs(c1)), abs(c0))
+    # c = mant * 2^power with 0.5 <= |mant| < 1, each in its own shape; a
+    # zero coefficient's power is put far below any other's
+    mant, power = zip(*map(np.frexp, (c3, c2, c1, c0)))
+    power = [np.where(x != 0.0, y, -2**20) for x, y in zip(mant, power)]
+    # the signs read below, c3's with the cut (the products in the tests
+    # read c3 as it is); mant keeps the sign
+    c3_pos, c3_neg = ~cut & (mant[0] > 0.0), ~cut & (mant[0] < 0.0)
+    c2_neg = mant[1] < 0.0
+    del c3, cut  # grid-sized, and not read again
 
+    def positive(*terms):
+        """Whether the sum of k c3^n3 c2^n2 c1^n1 c0^n0 over the terms
+        (k, (n3, n2, n1, n0)) is positive. Each product is taken over the
+        mantissas and scaled by 2 to its power less the largest power among
+        the products, so none under- or overflows."""
+        top = functools.reduce(np.maximum, (
+            sum(n * y for y, n in zip(power, ns)) for _, ns in terms))
+        total, m = np.zeros(np.shape(top)), np.empty(np.shape(top))
+        e = np.empty_like(top)
+        for k, ns in terms:
+            m[...], e[...] = k, -top
+            for x, y, n in zip(mant, power, ns):
+                for _ in range(n):
+                    m *= x
+                    e += y
+            total += np.ldexp(m, e, out=m)
+        return total > 0.0
 
-def classify_phase(p: HyperbolicParams) -> SpectralPhase:
-    """Classify the hyperbolic potential's spectral phase.
-
-    Necessary-condition logic: a well minimum below the asymptote admits
-    bound states; a barrier above the asymptote admits resonances. The
-    exact sufficiency boundary is not decided here; two-critical-point
-    configurations with a non-negative minimum but a positive barrier are
-    tagged R heuristically.
-    """
-    code, roots, min_value = _phases(p)
-    phase = PHASES[code[0]]
-    return SpectralPhase(
-        phase=phase, positive_roots=tuple(float(s) for s in roots[0] if s == s),
-        min_value=None if phase is Phase.S else float(min_value[0]))
+    # c2^2 - 8 c3 c0
+    well = c3_neg | (c2_neg & positive((1, (0, 2, 0, 0)), (-8, (1, 0, 0, 1))))
+    # the discriminant D
+    two = c3_pos & c2_neg & positive(
+        (18, (1, 1, 1, 1)), (-4, (0, 3, 0, 1)), (1, (0, 2, 2, 0)),
+        (-4, (1, 0, 3, 0)), (-27, (2, 0, 0, 2)))
+    # indices into PHASES (B, B&R, R, S)
+    return PHASES[np.select([well & c3_pos, well, two], [1, 0, 2], 3)]
 
 
 def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
@@ -326,10 +214,7 @@ def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
 
     A_vals = np.linspace(A_range[0], A_range[1], resolution)
     B_vals = np.linspace(B_range[0], B_range[1], resolution)
-    phases = np.empty((resolution, resolution), dtype=object)
-    for i in range(0, resolution, SPD_BLOCK_ROWS):
-        rows = slice(i, i + SPD_BLOCK_ROWS)
-        p = HyperbolicParams(V0=V0, A=A_vals, B=B_vals[rows, None], kappa=kappa)
-        phases[rows] = PHASES[_phases(p)[0]].reshape(-1, resolution)
+    phases = classify_phase(HyperbolicParams(V0=V0, A=A_vals, B=B_vals[:, None],
+                                             kappa=kappa))
     rectangle = {"B_max": kappa**2 / 8.0, "A_max": V0}
     return A_vals, B_vals, phases, rectangle

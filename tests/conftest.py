@@ -1,7 +1,14 @@
-"""Conversions between dense matrices and the band layout of `ptbound.linalg`
-(band[i, r] = a[i, i - p + r]), for tests that state a matrix densely."""
+"""Test-only references: conversions between dense matrices and the band
+layout of `ptbound.linalg` (band[i, r] = a[i, i - p + r]), the dense
+eigensolve that the banded solver is held to, and the closed-form norm of
+the Jacobi polynomials Q_n."""
+
+import math
 
 import numpy as np
+
+from ptbound import linalg
+from ptbound.errors import SingularParameterError
 
 
 def _band_index(n, p):
@@ -29,3 +36,29 @@ def dense(band):
     a = np.zeros((n, n))
     a[i[inside], j[inside]] = band[inside]
     return a
+
+
+def eig_general(a):
+    """All eigenvalues (complex) and right eigenvectors of a real square
+    matrix, by dense LAPACK: the reference for `linalg.eig_shift_invert`."""
+    return np.linalg.eig(np.asarray(a, dtype=float))
+
+
+def near_real_sorted(w):
+    """Real parts of the eigenvalues near the real axis
+    (`linalg.near_real_order`), ascending."""
+    return w[linalg.near_real_order(w)].real
+
+
+def jacobi_q_norm(n, jp):
+    """Squared weighted L2 norm of Q_n on [1, inf), closed Gamma form;
+    SingularParameterError on a Gamma pole."""
+    mu, nu = jp.mu, jp.nu
+    try:
+        num = (math.gamma(n + mu + 1) * math.gamma(n + nu + 1)
+               * math.gamma(-n - mu - nu))
+        den = math.gamma(n + 1) * math.gamma(-nu) * math.gamma(nu + 1)
+    except ValueError as exc:
+        raise SingularParameterError(f"Gamma pole in norm formula: {exc}") from exc
+    return ((-1.0) ** (n + 1) * 2.0 ** (mu + nu + 1)
+            / (2 * n + mu + nu + 1) * num / den)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense
+from conftest import dense, eig_general, jacobi_q_norm, near_real_sorted
 
 from ptbound import dvr, hofd, orthopoly, reference, tra
 from ptbound.potentials import HyperbolicParams, Phase, classify_phase, eval_trig
@@ -71,9 +71,8 @@ def test_criterion_3_table2():
 def test_criterion_4_free_box():
     cfg = hofd.HofdConfig(M=300, k=4)
     op = hofd.operator(cfg, -0.5, 0.0, 0.0)  # V = 0, a = 1
-    from ptbound import linalg
-    w, _ = linalg.eig_general(dense(op))
-    levels = linalg.near_real_sorted(w)[:5]
+    w, _ = eig_general(dense(op))
+    levels = near_real_sorted(w)[:5]
     worst = 0.0
     for n, e in enumerate(levels, start=1):
         exact = n**2 * math.pi**2 / 2.0
@@ -105,7 +104,7 @@ def test_criterion_5_polynomial_identities():
     # Gram diagonality, off-diagonal leakage <= 1e-8 relative
     from scipy import integrate
     jp = orthopoly.JacobiParams(mu=0.6, nu=-10.5, N=3)
-    norms = [orthopoly.jacobi_q_norm(n, jp) for n in range(jp.N + 1)]
+    norms = [jacobi_q_norm(n, jp) for n in range(jp.N + 1)]
     for n in range(jp.N + 1):
         for m in range(n):
             geo = math.sqrt(norms[n] * norms[m])
@@ -213,7 +212,7 @@ def test_criterion_8_spd_necessary_condition():
         for a in a_vals:
             if a + b >= 0:
                 phase = classify_phase(
-                    HyperbolicParams(V0=10.0, A=a, B=b, kappa=1.0)).phase
+                    HyperbolicParams(V0=10.0, A=a, B=b, kappa=1.0))
                 if phase is Phase.B:
                     bad += 1
     ok = bad == 0

@@ -331,6 +331,36 @@ def test_spd_grid(capsys):
             assert ph != "B"
 
 
+def test_spd_label_scale_free(capsys):
+    # (V0, A, B) = 1e200 * (1, -4, 1): A + B < 0 is a well, B at every node
+    code, out, _ = run(capsys, "spd", "--V0", "1e200", "--A-min=-4e200",
+                       "--A-max=-4e200", "--B-min", "1e200", "--B-max", "1e200",
+                       "--resolution", "2")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [ph for _, _, ph in rows] == ["B"] * 4
+
+
+def body(out):
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("# "))
+
+
+@pytest.mark.parametrize("exponent, plain", [
+    (["spectrum", *S1_FLAGS[:4], "--A", "-2e1", "--B", "-30", "--method", "dvr"],
+     ["spectrum", *S1_FLAGS[:4], "--A", "-20", "--B", "-30", "--method", "dvr"]),
+    (["spd", "--V0", "10", "--A-min", "-6e1", "--A-max", "4e1", "--B-min",
+      "-6.0E+1", "--B-max", "40", "--resolution", "4"],
+     ["spd", "--V0", "10", "--A-min", "-60", "--A-max", "4e1", "--B-min",
+      "-60", "--B-max", "40", "--resolution", "4"]),
+])
+def test_negative_exponent_value(capsys, exponent, plain):
+    # a negative number in exponent form is a value, not a flag
+    code, out, err = run(capsys, *exponent)
+    assert code == 0, err
+    assert body(out) == body(run(capsys, *plain)[1])
+
+
 def test_json_rows_match_csv(capsys):
     spd = ["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20",
            "--B-min", "-30", "--B-max", "10", "--resolution", "5"]
@@ -359,6 +389,11 @@ PINNED_BODIES = {
     "spd": (["spd", "--V0", "10", "--A-min", "-60", "--A-max", "40",
              "--B-min", "-60", "--B-max", "40", "--resolution", "200"],
             "c2d2259c30dca857f4618a78a7911a96c42763ff685b2d1e2fd8d93d7c1d9e34"),
+    # 22 nodes with 0 < |A + B| <= 7.1e-15, where the cut |c3| <= 1e-13 max|c|
+    # decides between B and B&R
+    "spd-cut": (["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20",
+                 "--B-min", "-20", "--B-max", "20", "--resolution", "30"],
+                "3c99929e3f256523ab5fa9a76d005b6dbda5d0890f0f41e209c6b0b86af7869e"),
     "S3": (["spectrum", *S3_FLAGS, "--method", "both"],
            "39e963cef2890995cba65fab0df2ab2cae1d11b9f676911d686fc83884ef8627"),
     "S4": (["spectrum", *S4_FLAGS, "--method", "both"],
@@ -375,6 +410,4 @@ def test_output_body_pinned(capsys, name):
     argv, digest = PINNED_BODIES[name]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    body = "".join(line for line in out.splitlines(keepends=True)
-                   if not line.startswith("# "))
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    assert hashlib.sha256(body(out).encode()).hexdigest() == digest

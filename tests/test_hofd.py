@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense
+from conftest import dense, eig_general, near_real_sorted
 
 from ptbound import hofd, linalg, reference
 from ptbound.potentials import HyperbolicParams, TrigParams
@@ -160,7 +160,7 @@ def test_hofd_spectrum_s4_lowest():
 
 def test_near_real_filter():
     w = np.array([1.0 + 0j, 2.0 + 1e-3j, 3.0 + 1e-12j])
-    real = linalg.near_real_sorted(w)
+    real = near_real_sorted(w)
     assert np.allclose(real, [1.0, 3.0])
 
 
@@ -207,8 +207,8 @@ def _dense_levels(p, cfg, count):
     zeta(j) operator, j = 1..count, up to the first continuum artifact."""
     levels = []
     for j in range(1, count + 1):
-        w, _ = linalg.eig_general(dense(hofd.hyperbolic_operator(p, cfg, j)[0]))
-        lam = linalg.near_real_sorted(w)[j - 1]
+        w, _ = eig_general(dense(hofd.hyperbolic_operator(p, cfg, j)[0]))
+        lam = near_real_sorted(w)[j - 1]
         if lam >= 0.0:
             break
         levels.append(lam)
@@ -247,8 +247,8 @@ def test_finite_well_levels_match_dense_eig(p, M):
     # the operator's own conditioning limits agreement to about 1e-6
     cfg = hofd.HofdConfig(M=M)
     got = hofd.hofd_spectrum(p, cfg, count=10).eigenvalues
-    w, _ = linalg.eig_general(dense(hofd.box_operator(p, cfg)[0]))
-    ref = linalg.near_real_sorted(w)[:10]
+    w, _ = eig_general(dense(hofd.box_operator(p, cfg)[0]))
+    ref = near_real_sorted(w)[:10]
     assert len(got) == 10
     for g, r in zip(got, ref):
         assert abs(g - r) <= 2e-6 * abs(r)
@@ -261,7 +261,7 @@ def test_shift_below_spectrum(p, monkeypatch):
     shifts = []
 
     def recorded(a, sigma, count):
-        w, _ = linalg.eig_general(dense(a))
+        w, _ = eig_general(dense(a))
         shifts.append((sigma, w.real.min()))
         return solve(a, sigma, count)
 
