@@ -2,16 +2,19 @@
 
 Artifacts are CSV (manifest as leading `# key=value` lines, then a header
 row) or a JSON mirror. Bodies are deterministic; the timestamp lives only
-in the manifest. Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 computation failure.
+in the manifest; `_cells` formats every number cell, a column at a time.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 computation
+failure. The parser is built once per process, which only a caller that runs
+`main` more than once in one process gains from (the tests, the benchmark);
+a shell run builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
-import math
 import re
 import sys
 
@@ -31,15 +34,17 @@ EXIT_COMPUTE = 3
 DIGITS = {"hyperbolic": 12, "trig": 6}
 
 
-def _fmt(x: float, digits: int) -> str:
-    return f"{x:.{digits - 1}e}" if x == x else "nan"
+def _cells(values, digits: int) -> list[str]:
+    """One %-format per value, over plain floats (nan prints as "nan")."""
+    fmt = f"%.{digits - 1}e"
+    return [fmt % x for x in np.asarray(values).tolist()]
 
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _emit(manifest: dict, columns: list[str], rows: list[list[str]],
+def _emit(manifest: dict, columns: list[str], rows: list,
           fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         # grids repeat their axis texts, so parse each distinct cell once
@@ -50,7 +55,7 @@ def _emit(manifest: dict, columns: list[str], rows: list[list[str]],
     else:
         lines = [f"# {k}={v}" for k, v in manifest.items()]
         lines.append(",".join(columns))
-        lines.extend(",".join(row) for row in rows)
+        lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -137,8 +142,8 @@ def cmd_spectrum(args, parser) -> int:
         raise SolverError("no bound level found (a wide well may need a "
                           "larger --box-b)")
     columns = ["n"] + [f"E_{m.lower()}" for m in methods]
-    rows = [[str(n)] + [_fmt(results[m].eigenvalues[n], digits) for m in methods]
-            for n in range(n_rows)]
+    rows = list(zip(map(str, range(n_rows)),
+                    *(_cells(results[m].eigenvalues, digits) for m in methods)))
     manifest = {"command": "spectrum", "family": args.family,
                 "params": _param_echo(p), "method": args.method,
                 "units": "atomic (hbar = m = 1)",
@@ -181,8 +186,8 @@ def cmd_wavefunction(args, parser) -> int:
     psi = {m: tra.eval_wavefunction(sol, p, x)[1] for m, sol in solutions.items()}
     digits = DIGITS[args.family]
     columns = [abscissa] + [f"psi_{m}" for m in states]
-    rows = [[_fmt(scale * xi, digits)] + [_fmt(psi[m][i], digits) for m in states]
-            for i, xi in enumerate(x)]
+    rows = list(zip(_cells(scale * x, digits),
+                    *(_cells(psi[m], digits) for m in states)))
     manifest = {"command": "wavefunction", "family": args.family,
                 "params": _param_echo(p),
                 "units": "atomic (hbar = m = 1)",
@@ -201,10 +206,10 @@ def cmd_spd(args, parser) -> int:
         args.V0, args.kappa, (args.A_min, args.A_max),
         (args.B_min, args.B_max), args.resolution)
     columns = ["A", "B", "phase"]
-    a_text = [_fmt(a, 12) for a in a_vals]
-    b_text = [_fmt(b, 12) for b in b_vals]
-    rows = [[a, b, phase.value]
-            for b, row in zip(b_text, phases) for a, phase in zip(a_text, row)]
+    a_text, b_text = _cells(a_vals, 12), _cells(b_vals, 12)
+    # `_value_` is a plain attribute, `.value` a property call per cell
+    rows = list(zip(a_text * len(b_text), [b for b in b_text for _ in a_text],
+                    [phase._value_ for phase in phases.ravel().tolist()]))
     manifest = {"command": "spd", "V0": args.V0, "kappa": args.kappa,
                 "rectangle_B_max": rect["B_max"], "rectangle_A_max": rect["A_max"],
                 "units": "atomic (hbar = m = 1)",
@@ -279,6 +284,7 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+@functools.cache  # parsing fills a new namespace and leaves the parser as is
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ptbound",

@@ -6,8 +6,8 @@ maximal consistency order; the finite well needs only a rescaling to
 (0, 1). The compactification scale zeta is retuned per eigenvalue
 index, so the hyperbolic operator is rebuilt for every requested level.
 Each build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1
-stencil weight pairs (`operator`) and samples the potential once, for the
-diagonal and for the solve's shift.
+stencil weight pairs (`operator`), computed once per (order, k) in a
+process, and samples the potential once, for the diagonal and the shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
@@ -20,6 +20,7 @@ a dense inverse would cost O(M^3); no M x M operator is formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,6 +113,14 @@ def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
     return np.array([row[l] for row in c])
 
 
+@functools.cache
+def _weight_table(l: int, k: int) -> np.ndarray:
+    """Order-l weights over the window 0..2k at nodes 1..2k-1 (shared: read-only)."""
+    table = np.array([fd_weights(l, range(2 * k + 1), q) for q in range(1, 2 * k)])
+    table.flags.writeable = False
+    return table
+
+
 def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     """a*Delta2 + b*Delta1 + diag(c) on the interior nodes, with a, b and c
     per row (length-M arrays or scalars), as its band (`linalg`, p = 2k - 1).
@@ -122,15 +131,15 @@ def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     from the walls, one-sided within k of them. Columns for the Dirichlet
     endpoints s_0 and s_{M+1} are dropped. The weights depend only on where
     s_i sits in its window, so 2k-1 weight pairs serve all M rows: k-1 per
-    wall and the centered one.
+    wall and the centered one, computed once per (order, k) and shared.
     """
     M, k, h, p = cfg.M, cfg.k, cfg.h, 2 * cfg.k - 1
     i = np.arange(M)  # row i holds s_{i+1}
     start = np.clip(i + 1 - k, 0, M + 1 - 2 * k)
     window = np.arange(2 * k + 1)
     at = i - start  # s_{i+1} is node at + 1 (1 .. 2k-1) of its window
-    w1 = np.array([fd_weights(1, window, q) for q in range(1, 2 * k)])[at] / h
-    w2 = np.array([fd_weights(2, window, q) for q in range(1, 2 * k)])[at] / h**2
+    w1 = _weight_table(1, k)[at] / h
+    w2 = _weight_table(2, k)[at] / h**2
     a, b = (np.broadcast_to(x, (M,))[:, None] for x in (a, b))
     cols = start[:, None] + window - 1  # grid index t -> interior column t-1
     rows = np.broadcast_to(i[:, None], cols.shape)

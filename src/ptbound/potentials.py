@@ -112,8 +112,17 @@ def eval_trig(p: TrigParams, x):
 
 
 def critical_cubic(p: HyperbolicParams) -> tuple[float, float, float, float]:
-    """Coefficients (c3, c2, c1, c0) of the critical-point cubic in s = sinh^2(kx)."""
-    return (p.A + p.B, 2.0 * (p.V0 + p.A), 4.0 * p.V0 + p.A, 2.0 * p.V0)
+    """Coefficients (c3, c2, c1, c0) of the critical-point cubic in s = sinh^2(kx);
+    at a node where one overflows, those of the same cubic from (V0, A, B) / 8."""
+    def cubic(V0, A, B):
+        return (A + B, 2.0 * (V0 + A), 4.0 * V0 + A, 2.0 * V0)
+    with np.errstate(over="ignore"):
+        c = cubic(p.V0, p.A, p.B)
+    big = ~functools.reduce(np.logical_and, map(np.isfinite, c))
+    if big.any():
+        scaled = cubic(p.V0 / 8, p.A / 8, p.B / 8)
+        c = tuple(np.where(big, s, x) for s, x in zip(scaled, c))
+    return c
 
 
 # The potential vanishes as x -> infinity: every term decays.
@@ -149,7 +158,9 @@ def classify_phase(p: HyperbolicParams):
     A leading coefficient |c3| <= 1e-13 max|c| counts as A + B = 0 wherever
     the sign of c3 is read, so a well is then B and no well S; c2^2 > 8 c3 c0
     reads c3 as it is. The products in the tests are formed from the
-    mantissas and powers of 2 of c, so they hold for any finite c.
+    mantissas and powers of 2 of c, so they hold for any finite c, and c
+    comes scaled by 2^-3 at the nodes where it would overflow: exact but for
+    bits below 2^-1019, which V0 or A, near 1.8e308 there, dwarf.
 
     A label is a necessary condition: a well below the asymptote admits
     bound states, a barrier above it resonances, but a B well may hold no

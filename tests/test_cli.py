@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ptbound import cli, dvr
@@ -283,7 +284,7 @@ def test_wavefunction_trig_levels_from_states(capsys):
     energy = json.loads(parse_csv(out)[0]["state_10"])["E"]
     _, spec, _ = run(capsys, "spectrum", *S3_FLAGS, "--method", "dvr",
                      "--count", "11")
-    assert cli._fmt(energy, cli.DIGITS["trig"]) == parse_csv(spec)[2][10][1]
+    assert cli._cells([energy], cli.DIGITS["trig"]) == [parse_csv(spec)[2][10][1]]
 
 
 def test_wavefunction_node_counts(capsys):
@@ -411,3 +412,91 @@ def test_output_body_pinned(capsys, name):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(body(out).encode()).hexdigest() == digest
+
+
+# sha256 of the JSON text from "columns" on (the manifest object dropped:
+# its residuals and full-precision energies differ between one and two
+# BLAS threads). A new digest means a JSON cell changed.
+PINNED_JSON = {
+    "spd": "423e61d1d6392f6dcf402b0db1d138822d0bbb6b0ea4cb11d3e45d559ed97d9f",
+    "S3": "665e37b0864a06bd1baa28ec06fa323d27b933dffdf359612ccc2dc287717006",
+    "wavefunction-S3":
+        "60212478ca92f4e49ea254058fda48a9575d7c53a6c4536a721bd28bfb140581",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_JSON))
+def test_json_body_pinned(capsys, name):
+    code, out, _ = run(capsys, *PINNED_BODIES[name][0], "--format", "json")
+    assert code == 0
+    tail = out[out.index('\n  "columns": '):]
+    assert hashlib.sha256(tail.encode()).hexdigest() == PINNED_JSON[name]
+
+
+def _fmt(x, digits):
+    """The one-cell formatter `cli._cells` replaced."""
+    return f"{x:.{digits - 1}e}" if x == x else "nan"
+
+
+@pytest.mark.parametrize("digits", [6, 12])
+def test_cells_match_one_cell_format(digits):
+    values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+              -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+              # exact binary values on a last-digit tie at 6 and 12 digits
+              1000005.0, 1000015.0, 2.0**-10, -(2.0**-10),
+              1000000000005.0, 1000000000015.0, 1234567890125.0,
+              -17.292792568552, 16.797026058903427, 0.1, 1.0 / 3.0]
+    want = [_fmt(x, digits) for x in values]
+    assert cli._cells(values, digits) == want
+    assert cli._cells(np.array(values), digits) == want
+    assert cli._cells([np.float64(x) for x in values], digits) == want
+    assert cli._cells(tuple(values), digits) == want
+
+
+def without_timestamp(text):
+    """The lines of a CSV or JSON artifact but its `generated` stamp."""
+    return [ln for ln in text.splitlines() if not ln.startswith("# generated=")
+            and not ln.startswith('    "generated": ')]
+
+
+def _fresh(capsys, *argv):
+    """Output of argv from a newly built parser."""
+    cli.build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+SPD_SMALL = ["spd", "--V0", "10", "--A-min", "-5", "--A-max", "5",
+             "--B-min", "-5", "--B-max", "5", "--resolution", "4"]
+
+
+@pytest.mark.parametrize("calls, codes", [
+    ([["wavefunction", *S1_FLAGS, "--states", "0", "1", "2", "--samples", "20"],
+      ["wavefunction", *S1_FLAGS, "--states", "1", "--samples", "20"]], [0, 0]),
+    ([["spectrum", *S4_FLAGS, "--method", "dvr", "--format", "json"],
+      ["spectrum", *S4_FLAGS, "--method", "dvr"]], [0, 0]),
+    ([SPD_SMALL, SPD_SMALL[:-4], SPD_SMALL], [0, 2, 0]),
+], ids=["states", "json-then-csv", "usage-error-between"])
+def test_shared_parser_keeps_no_state(capsys, calls, codes):
+    # main reuses one parser per process; each call must read as if the
+    # parser were new
+    assert cli.build_parser() is cli.build_parser()
+    got = [run(capsys, *argv) for argv in calls]
+    want = [_fresh(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in got] == [code for code, _, _ in want] == codes
+    assert [(without_timestamp(out), err) for _, out, err in got] \
+        == [(without_timestamp(out), err) for _, out, err in want]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20", "--B-min", "-30",
+     "--B-max", "10", "--resolution", "5"],
+    ["spectrum", *S3_FLAGS, "--method", "both"]], ids=["spd", "spectrum-S3"])
+def test_entry_point_matches_in_process(capsys, argv):
+    # the one-shot path a shell user takes: a fresh process, fresh caches
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "ptbound.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
+    assert without_timestamp(proc.stdout) == without_timestamp(out)

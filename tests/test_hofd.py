@@ -196,10 +196,21 @@ def test_delta_matrices_match_row_by_row(M, k):
     d1, d2 = _delta_matrices_by_row(cfg)
     a, b, c = np.random.default_rng(100 * M + k).uniform(-5.0, 5.0, (3, M))
     want = a[:, None] * d2 + b[:, None] * d1 + np.diag(c)
-    assert dense(hofd.operator(cfg, a, b, c)).tobytes() == want.tobytes()
+    for _ in range(2):  # a second build reads the shared weight tables
+        assert dense(hofd.operator(cfg, a, b, c)).tobytes() == want.tobytes()
     p = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.037)
     op, v = hofd.box_operator(p, cfg)
     assert dense(op).tobytes() == (-d2 / (2.0 * p.a**2) + np.diag(v)).tobytes()
+
+
+def test_weight_tables_shared_read_only():
+    # every operator build reads these same two arrays for k = 4
+    for order in (1, 2):
+        table = hofd._weight_table(order, 4)
+        assert table is hofd._weight_table(order, 4)
+        assert table.shape == (7, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 def _dense_levels(p, cfg, count):

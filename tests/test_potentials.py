@@ -200,6 +200,29 @@ def test_positive_real_roots_tiny_root_beside_double_root():
         assert phase_of(V0, -1.0, 2.0) is Phase.BR is exact_phase(V0, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("V0, A, B", [
+    # 4 V0 overflows: A + B < 0 at the first node is a well
+    (1e308, [-1e304, 0.0, 1e304], [-1e302, 0.0, 1e302]),
+    (1.7976931348623157e308, [-1.7976931348623157e308, 0.0], [-1e300, 1e308]),
+    # (5, -20, 40) and (1, -4, 1) scaled to the top of the range
+    (5.0 * 2.0**1018, [-20.0 * 2.0**1018], [40.0 * 2.0**1018, 30.0 * 2.0**1018]),
+    (4e307, [-1.6e308], [4e307]),
+    # V0 / 8 would round to 0 at (A, B) = (-8u, 1) and (-16u, 2^1021), where
+    # nothing overflows, beside nodes at A = 1.7e308 that do (u = 2^-1074)
+    (1e-323, [-4e-323, 8e307, 1.7e308], [0.0, 1.0, 1.7e308]),
+    (2e-323, [-8e-323, 1.7e308], [2.0**1021]),
+    # V0 = u beside A and B near 2^1021: nothing overflows
+    (5e-324, [-8e307, 0.0, 8e307], [-8e307, 0.0, 8e307]),
+])
+def test_classify_phase_near_overflow(V0, A, B):
+    # the nodes whose critical cubic would overflow are scaled by a power
+    # of 2 first, so no warning is raised and the labels stay exact
+    A, B = np.array(A), np.array(B)[:, None]
+    with np.errstate(over="raise", invalid="raise"):
+        got = classify_phase(HyperbolicParams(V0=V0, A=A, B=B, kappa=1.0))
+    assert got.tolist() == [[exact_phase(V0, a, b) for a in A] for b in B[:, 0]]
+
+
 def test_positive_real_roots_lower_order():
     # A + B = 0: the cubic is a quadratic, a well without a barrier if
     # c2 < 0 and no critical point otherwise (two positive roots would need
