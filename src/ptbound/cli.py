@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import dvr, hofd, orthopoly, reference, tra
+from . import dvr, hofd, reference, tra
 from .errors import PtboundError, SolverError
 from .hofd import HofdConfig
 from .potentials import HyperbolicParams, TrigParams, spd_grid
@@ -236,33 +236,9 @@ def _verify_tables(which: str, report: list) -> bool:
     return ok
 
 
-def _verify_polys(report: list) -> bool:
-    ok = True
-    rng = np.random.default_rng(20240815)
-    for trial in range(200):
-        n_max = int(rng.integers(0, 6))
-        mu = float(rng.uniform(-0.9, 3.0))
-        nu = float(-mu - 2 * n_max - 1 - rng.uniform(0.1, 5.0))
-        n = int(rng.integers(0, n_max + 1))
-        y = float(rng.uniform(1.0 + 1e-6, 8.0))
-        jp = orthopoly.JacobiParams(mu=mu, nu=nu, N=n_max)
-        q_rec = orthopoly.jacobi_q(n, jp, y)
-        q_hyp = orthopoly.jacobi_q_oracle(n, jp, y)
-        rel = abs(q_rec - q_hyp) / max(abs(q_hyp), 1.0)
-        if rel > 1e-10:
-            ok = False
-            report.append((f"polys recursion-vs-hypergeometric trial={trial}",
-                           q_rec, q_hyp, 1e-10, False))
-    report.append(("polys recursion-vs-hypergeometric (200 trials)",
-                   0.0, 0.0, 1e-10, ok))
-    return ok
-
-
 def cmd_verify(args, parser) -> int:
     report: list = []
     ok = _verify_tables(args.which, report)
-    if args.which in ("polys", "all"):
-        ok &= _verify_polys(report)
     for name, got, exp, tol, passed in report:
         tag = "PASS" if passed else "FAIL"
         print(f"[{tag}] {name}: measured={got:.12g} expected={exp:.12g} tol={tol:g}")
@@ -321,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_spd)
 
     p_ver = sub.add_parser("verify", help="check shipped reference tables")
-    p_ver.add_argument("which", choices=["table1", "table2", "polys", "all"])
+    p_ver.add_argument("which", choices=[*reference.TABLES, "all"])
 
     return parser
 

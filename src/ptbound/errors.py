@@ -9,10 +9,6 @@ class DomainError(PtboundError):
     """Coordinate outside the open domain of a potential."""
 
 
-class AdmissibilityError(PtboundError):
-    """Polynomial parameters violate the admissibility window."""
-
-
 class SingularParameterError(PtboundError):
     """A recursion denominator or Gamma argument hit a pole."""
 

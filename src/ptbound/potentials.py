@@ -208,6 +208,14 @@ def classify_phase(p: HyperbolicParams):
     return PHASES[np.select([well & c3_pos, well, two], [1, 0, 2], 3)]
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced nodes from lo to hi; a span past the float range is
+    laid out at half scale and doubled, exact for normal floats."""
+    if math.isinf(float(hi) - float(lo)):
+        return 2.0 * np.linspace(lo / 2.0, hi / 2.0, n)
+    return np.linspace(lo, hi, n)
+
+
 def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
              B_range: tuple[float, float], resolution: int):
     """Phase classification over a rectangular (A, B) grid with
@@ -223,8 +231,8 @@ def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
         if not np.isfinite(bounds).all():
             raise ValueError(f"{name} must be finite")
 
-    A_vals = np.linspace(A_range[0], A_range[1], resolution)
-    B_vals = np.linspace(B_range[0], B_range[1], resolution)
+    A_vals = _axis(*A_range, resolution)
+    B_vals = _axis(*B_range, resolution)
     phases = classify_phase(HyperbolicParams(V0=V0, A=A_vals, B=B_vals[:, None],
                                              kappa=kappa))
     rectangle = {"B_max": kappa**2 / 8.0, "A_max": V0}

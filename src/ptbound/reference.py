@@ -3,8 +3,11 @@ by the verify command.
 
 The four shipped parameter sets exercise both potential families and both
 series branches. The reference eigenvalues are the published benchmark
-values for these sets, one column per solver method.
+values for these sets, one column per solver method. The limits table's
+truth is a closed form, which neither solver produced.
 """
+
+import math
 
 from .potentials import HyperbolicParams, TrigParams
 
@@ -46,10 +49,23 @@ TRIG_REFERENCE = {
     },
 }
 
+# A finite well near V0 = 0, the conventional Poschl-Teller well (Cooper,
+# Khare & Sukhatme, Phys. Rep. 251 (1995) 267, Table 4.1), with
+# D = rho^2 k(k-1)/2 and C = rho^2 l(l-1)/2, k = l = 3, a = 1
+_RHO = math.pi / 2.0
+LIMIT_SETS = {
+    "L1": TrigParams(V0=1e-12, C=3.0 * _RHO**2, D=3.0 * _RHO**2, a=1.0),
+}
+
+# Lowest ten levels at V0 = 0: E_n = (rho^2/2)(k + l + 2n)^2
+_L1_LEVELS = tuple(_RHO**2 / 2.0 * (6 + 2 * n) ** 2 for n in range(10))
+LIMIT_REFERENCE = {"L1": {"DVR": _L1_LEVELS, "HOFD": _L1_LEVELS}}
+
 # verify's tables: name -> (parameter sets, reference spectra)
 TABLES = {
     "table1": (HYPERBOLIC_SETS, HYPERBOLIC_REFERENCE),
     "table2": (TRIG_SETS, TRIG_REFERENCE),
+    "limits": (LIMIT_SETS, LIMIT_REFERENCE),
 }
 
 
@@ -57,4 +73,6 @@ def tolerance(table: str, method: str, n: int) -> float:
     """Allowed |computed - published| for level n of a table's method column."""
     if table == "table1":
         return 1e-7 if method == "HOFD" else 1e-6 if n == 2 else 1e-8
+    if table == "limits":
+        return 1e-8
     return 1e-4 if n <= 4 else 1e-3

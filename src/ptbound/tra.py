@@ -2,6 +2,9 @@
 energy to the basis parameters, solves the three-term recursion for the series
 coefficients and evaluates the finite wavefunction series.
 
+The series basis is the Jacobi polynomials Q_n on y >= 1, orthogonal with
+weight (y-1)^mu (y+1)^nu up to the degree N_m that the basis maps work out.
+
 The energy spectrum itself always comes from the matrix solvers (dvr/hofd);
 this module only reconstructs the analytic form of each bound state. All
 wavefunctions are un-normalized (the series weight function has no known
@@ -17,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TraValidityError
-from .orthopoly import _q_forward
+from .errors import SingularParameterError, TraValidityError
 from .potentials import HyperbolicParams, TrigParams
 
 
@@ -160,6 +162,34 @@ def assemble_solution(p: HyperbolicParams | TrigParams,
         f.append(-(g[n] * f[n] + below) / c[n])
     return SeriesSolution(energy=E_m, basis=basis, branch=branch_window(p),
                           coeffs=tuple(f))
+
+
+def _recursion_terms(n: int, mu: float, nu: float):
+    """Diagonal, sub- and super-diagonal factors of the Q_n recursion.
+
+    Returns (a_n, b_n, c_n) with
+      y Q_n = a_n Q_n + b_n Q_{n-1} + c_n Q_{n+1}.
+    """
+    s = mu + nu
+    d0 = (2 * n + s) * (2 * n + s + 2)
+    d1 = (2 * n + s) * (2 * n + s + 1)
+    d2 = (2 * n + s + 1) * (2 * n + s + 2)
+    if d0 == 0.0 or d1 == 0.0 or d2 == 0.0:
+        raise SingularParameterError(
+            f"recursion denominator vanishes at n={n}, mu+nu={s}")
+    a = (nu**2 - mu**2) / d0
+    b = 2.0 * (n + mu) * (n + nu) / d1
+    c = 2.0 * (n + 1) * (n + s + 1) / d2
+    return a, b, c
+
+
+def _q_forward(n: int, mu: float, nu: float, y: np.ndarray) -> list[np.ndarray]:
+    """Q_0 .. Q_n at y by forward recursion from Q_0 = 1."""
+    qs = [np.zeros_like(y), np.ones_like(y)]  # Q_{-1} = 0, Q_0 = 1
+    for k in range(n):
+        a, b, c = _recursion_terms(k, mu, nu)
+        qs.append(((y - a) * qs[-1] - b * qs[-2]) / c)
+    return qs[1:]
 
 
 def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,

@@ -1,7 +1,8 @@
 """Test-only references: conversions between dense matrices and the band
 layout of `ptbound.linalg` (band[i, r] = a[i, i - p + r]), the dense
-eigensolve that the banded solver is held to, and the closed-form norm of
-the Jacobi polynomials Q_n."""
+eigensolve that the banded solver is held to, and the terminating
+hypergeometric sum and closed-form norm of the Jacobi polynomials Q_n that
+the recursion `tra._q_forward` is held to."""
 
 import math
 
@@ -50,10 +51,31 @@ def near_real_sorted(w):
     return w[linalg.near_real_order(w)].real
 
 
-def jacobi_q_norm(n, jp):
+def pochhammer(x, n):
+    """Rising factorial (x)_n by iterated product (safe at negative x)."""
+    out = 1.0
+    for k in range(n):
+        out *= x + k
+    return out
+
+
+def hyp_sum(n, mu, nu, y):
+    """Q_n(y) from its terminating hypergeometric sum, independent of the
+    recursion; returns (value, cancellation scale)."""
+    total, mag = 0.0, 0.0
+    for k in range(n + 1):
+        term = (pochhammer(-n, k) * pochhammer(n + mu + nu + 1, k)
+                / (pochhammer(mu + 1, k) * math.factorial(k))
+                * ((1.0 - y) / 2.0) ** k)
+        total += term
+        mag += abs(term)
+    pre = pochhammer(mu + 1, n) / math.factorial(n)
+    return pre * total, abs(pre) * mag
+
+
+def jacobi_q_norm(n, mu, nu):
     """Squared weighted L2 norm of Q_n on [1, inf), closed Gamma form;
     SingularParameterError on a Gamma pole."""
-    mu, nu = jp.mu, jp.nu
     try:
         num = (math.gamma(n + mu + 1) * math.gamma(n + nu + 1)
                * math.gamma(-n - mu - nu))

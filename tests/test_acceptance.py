@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense, eig_general, jacobi_q_norm, near_real_sorted
+from conftest import dense, eig_general, hyp_sum, jacobi_q_norm, near_real_sorted
 
-from ptbound import dvr, hofd, orthopoly, reference, tra
+from ptbound import dvr, hofd, reference, tra
 from ptbound.potentials import HyperbolicParams, Phase, classify_phase, eval_trig
 
 HYP = reference.HYPERBOLIC_SETS
@@ -91,38 +91,36 @@ def test_criterion_5_polynomial_identities():
         n_max = int(rng.integers(0, 6))
         mu = float(rng.uniform(-0.9, 3.0))
         nu = -mu - 2 * n_max - 1 - float(rng.uniform(0.1, 5.0))
-        cases.append((orthopoly.JacobiParams(mu=mu, nu=nu, N=n_max),
-                      int(rng.integers(0, n_max + 1))))
+        cases.append((mu, nu, int(rng.integers(0, n_max + 1))))
     # recursion vs hypergeometric, 1e-10 relative
-    for jp, n in cases:
+    for mu, nu, n in cases:
         y = float(rng.uniform(1.0, 100.0))
-        a = orthopoly.jacobi_q(n, jp, y)
-        b = orthopoly.jacobi_q_oracle(n, jp, y)
+        a = tra._q_forward(n, mu, nu, y)[-1]
+        b, _ = hyp_sum(n, mu, nu, y)
         rel = abs(a - b) / max(1.0, abs(b))
         worst = max(worst, rel)
         ok &= rel <= 1e-10
     # Gram diagonality, off-diagonal leakage <= 1e-8 relative
     from scipy import integrate
-    jp = orthopoly.JacobiParams(mu=0.6, nu=-10.5, N=3)
-    norms = [jacobi_q_norm(n, jp) for n in range(jp.N + 1)]
-    for n in range(jp.N + 1):
+    mu, nu, n_max = 0.6, -10.5, 3
+    norms = [jacobi_q_norm(n, mu, nu) for n in range(n_max + 1)]
+    for n in range(n_max + 1):
         for m in range(n):
             geo = math.sqrt(norms[n] * norms[m])
             val, _ = integrate.quad(
-                lambda y: ((y - 1) ** jp.mu * (y + 1) ** jp.nu
-                           * orthopoly.jacobi_q(n, jp, y)
-                           * orthopoly.jacobi_q(m, jp, y)),
+                lambda y: ((y - 1) ** mu * (y + 1) ** nu
+                           * tra._q_forward(n, mu, nu, y)[-1]
+                           * tra._q_forward(m, mu, nu, y)[-1]),
                 1.0, np.inf, limit=500, epsabs=1e-11 * geo, epsrel=1e-11)
             ok &= abs(val) <= 1e-8 * geo
     # differential-equation residual <= 1e-7 relative (5-point stencils)
-    for jp, n in cases[:50]:
+    for mu, nu, n in cases[:50]:
         y, h = float(rng.uniform(1.5, 20.0)), 1e-3
-        f = [orthopoly.jacobi_q(n, jp, y + m * h) for m in (-2, -1, 0, 1, 2)]
+        f = tra._q_forward(n, mu, nu, y + h * np.arange(-2.0, 3.0))[-1]
         qp = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
         qpp = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
-        terms = ((y * y - 1) * qpp,
-                 ((jp.mu + jp.nu + 2) * y + jp.mu - jp.nu) * qp,
-                 -n * (n + jp.mu + jp.nu + 1) * f[2])
+        terms = ((y * y - 1) * qpp, ((mu + nu + 2) * y + mu - nu) * qp,
+                 -n * (n + mu + nu + 1) * f[2])
         ok &= abs(sum(terms)) <= 1e-7 * max(1.0, *(abs(t) for t in terms))
     # Favard positivity of the series recursion products
     for name, p in HYP.items():

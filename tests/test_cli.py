@@ -342,6 +342,19 @@ def test_spd_label_scale_free(capsys):
     assert [ph for _, _, ph in rows] == ["B"] * 4
 
 
+def test_spd_span_beyond_float_range(capsys):
+    # hi - lo = 3.4e308 overflowed in np.linspace, which warned and then
+    # reported the finite bound A as not finite
+    code, out, err = run(capsys, "spd", "--V0", "1", "--A-min=-1.7e308",
+                         "--A-max", "1.7e308", "--B-min=-1", "--B-max", "1",
+                         "--resolution", "3")
+    assert code == 0, err
+    _, _, rows = parse_csv(out)
+    assert [float(a) for a, _, _ in rows[:3]] == [-1.7e308, 0.0, 1.7e308]
+    # B = -1: a well for A <= 0, repulsive for huge A > 0
+    assert [ph for _, _, ph in rows[:3]] == ["B", "B", "S"]
+
+
 def body(out):
     return "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith("# "))
@@ -377,10 +390,19 @@ def test_json_rows_match_csv(capsys):
     assert [(type(n), n) for n, _ in spec_rows] == [(int, 0), (int, 1), (int, 2)]
 
 
-def test_verify_polys(capsys):
-    code, out, _ = run(capsys, "verify", "polys")
+def test_verify_tables(capsys):
+    # the benchmark's verify check wants 2 * (6 + 20) + 1 PASS lines, one
+    # more than tables 1 and 2 hold
+    code, out, _ = run(capsys, "verify", "all")
     assert code == 0
-    assert "ALL PASS" in out
+    passed = [line for line in out.splitlines() if line.startswith("[PASS]")]
+    assert len(passed) >= 2 * (6 + 20) + 1
+    for table in ("table1", "table2", "limits"):
+        assert any(line.startswith(f"[PASS] {table} ") for line in passed)
+    assert out.endswith("verify: ALL PASS\n")
+    code, out, _ = run(capsys, "verify", "limits")
+    assert code == 0 and out.endswith("verify: ALL PASS\n")
+    assert run(capsys, "verify", "polys")[0] == 2
 
 
 # sha256 of the header and data rows (manifest lines dropped): a new digest

@@ -3,8 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from conftest import pochhammer
 
-from ptbound import dvr, orthopoly, tra
+from ptbound import dvr, tra
 from ptbound.errors import TraValidityError
 from ptbound.potentials import HyperbolicParams, TrigParams
 from ptbound.tra import Branch
@@ -200,13 +201,13 @@ def _paper_coefficients(p, basis):
     h = [1.0]
     h_prev = 0.0
     for n in range(basis.N_m):
-        a, b, c = orthopoly._recursion_terms(n, mu, nu)
+        a, b, c = tra._recursion_terms(n, mu, nu)
         diag = ((n + (mu + nu + 1) / 2.0) ** 2 - 1.0 / 16.0) * z * sn + a
         h_prev, h_n = h[-1], ((cs - diag) * h[-1] - b * h_prev) / c
         h.append(h_n)
     s = mu + nu
-    g_n = [orthopoly.pochhammer(mu + 1, n) * orthopoly.pochhammer(nu + 1, n)
-           / (math.factorial(n) * orthopoly.pochhammer(s + 1, n))
+    g_n = [pochhammer(mu + 1, n) * pochhammer(nu + 1, n)
+           / (math.factorial(n) * pochhammer(s + 1, n))
            * (s + 1) / (2 * n + s + 1) for n in range(basis.N_m + 1)]
     return [hn / gn for hn, gn in zip(h, g_n)]
 
