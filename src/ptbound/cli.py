@@ -194,8 +194,8 @@ def cmd_wavefunction(args, parser) -> int:
                 "generated": _timestamp()}
     for m, sol in solutions.items():
         manifest[f"state_{m}"] = json.dumps({
-            "E": sol.energy, "mu": sol.basis.mu, "nu": sol.basis.nu,
-            "N": sol.basis.N_m, "branch": sol.branch and sol.branch.value,
+            "E": sol.energy, "mu": sol.mu, "nu": sol.nu,
+            "N": len(sol.coeffs) - 1, "branch": sol.branch and sol.branch.value,
             "coeffs": list(sol.coeffs), "nodes": tra.count_nodes(psi[m])})
     _emit(manifest, columns, rows, args.format, args.out)
     return EXIT_OK

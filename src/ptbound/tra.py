@@ -1,9 +1,11 @@
-"""Series-solution assembly: maps physical parameters plus a known bound-state
-energy to the basis parameters, solves the three-term recursion for the series
+"""Series-solution assembly: from the physical parameters and a known
+bound-state energy, solves the three-term recursion for the series
 coefficients and evaluates the finite wavefunction series.
 
 The series basis is the Jacobi polynomials Q_n on y >= 1, orthogonal with
-weight (y-1)^mu (y+1)^nu up to the degree N_m that the basis maps work out.
+weight (y-1)^mu (y+1)^nu up to the degree N with 2N + mu + nu + 1 < 0. The
+coefficient recursion is the Q_n recursion transposed and shifted by an
+energy term, so both read one table of factors, `_recursion_terms`.
 
 The energy spectrum itself always comes from the matrix solvers (dvr/hofd);
 this module only reconstructs the analytic form of each bound state. All
@@ -30,22 +32,14 @@ class Branch(Enum):
 
 
 @dataclass(frozen=True)
-class TraBasisParams:
-    """Energy-dependent basis parameters of one bound state."""
-
-    mu: float
-    nu: float
-    epsilon: float  # 2E/kappa^2 or 2E/rho^2 per family
-    N_m: int
-
-
-@dataclass(frozen=True)
 class SeriesSolution:
-    """One bound state: energy, basis, the finite coefficient list and the
-    paper's branch label (None where no window applies)."""
+    """One bound state: energy, basis parameters mu and nu, the paper's
+    branch label (None where no window applies) and the finite coefficient
+    list f_0 .. f_N."""
 
     energy: float
-    basis: TraBasisParams
+    mu: float
+    nu: float
     branch: Branch | None
     coeffs: tuple[float, ...]
 
@@ -53,38 +47,6 @@ class SeriesSolution:
 def strict_floor(x: float) -> int:
     """Largest integer strictly less than x (so strict_floor(3.0) == 2)."""
     return math.ceil(x) - 1
-
-
-def hyperbolic_basis(p: HyperbolicParams, E: float) -> TraBasisParams:
-    """Basis parameters for a hyperbolic-family bound state at energy E < 0."""
-    if E >= 0:
-        raise TraValidityError(f"series solution requires E < 0, got E={E}")
-    if p.B > p.kappa**2 / 8.0:
-        raise TraValidityError(
-            f"series solution requires B <= kappa^2/8, got B={p.B}")
-    eps = 2.0 * E / p.kappa**2
-    mu = math.sqrt(-eps)
-    nu = -math.sqrt(0.25 - 2.0 * p.B / p.kappa**2)
-    n_m = strict_floor(0.5 * (-nu - mu - 1.0))
-    if n_m < 0:
-        raise TraValidityError(
-            f"energy E={E} admits no series term (truncation index {n_m})")
-    return TraBasisParams(mu=mu, nu=nu, epsilon=eps, N_m=n_m)
-
-
-def trig_basis(p: TrigParams, E: float) -> TraBasisParams:
-    """Basis parameters for a trigonometric-family bound state at energy E > 0."""
-    if E <= 0:
-        raise TraValidityError(f"series solution requires E > 0, got E={E}")
-    rho2 = p.rho**2
-    eps = 2.0 * E / rho2
-    mu = math.sqrt(0.25 + 2.0 * p.D / rho2)
-    nu = -math.sqrt(eps)
-    n_m = strict_floor(0.5 * (-mu - nu - 1.0))
-    if n_m < 0:
-        raise TraValidityError(
-            f"energy E={E} is below the representable window (index {n_m})")
-    return TraBasisParams(mu=mu, nu=nu, epsilon=eps, N_m=n_m)
 
 
 def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
@@ -103,44 +65,47 @@ def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
     return None
 
 
-def recursion_coefficients(p: HyperbolicParams | TrigParams,
-                           basis: TraBasisParams):
-    """Tridiagonal coefficients (g, c, d) of the coefficient recursion:
-    lists g_0..g_N, c_0..c_{N-1}, d_0..d_{N-1}.
+def _recursion_terms(n: int, mu: float, nu: float):
+    """Row n of the three-term recursion of Q_n,
 
-    g_N is inf where mu + nu = -2N - 2, a pole of the Q_n recursion; the
-    series coefficients need only g_0..g_{N-1}, which stay finite.
+      y Q_n = a_n Q_n + b_n Q_{n-1} + c_n Q_{n+1}:
+
+    returns (a_n, b_{n+1}, c_n). SingularParameterError where a_n or c_n has
+    a pole; b_{n+1} is inf at its own pole mu + nu = -2n - 3, where c_{n+1}
+    has one too, so only a caller that stops at row n meets it.
     """
-    mu, nu, n_m = basis.mu, basis.nu, basis.N_m
-    if isinstance(p, HyperbolicParams):
-        scale2 = p.kappa**2
-        shift = (p.V0 - 2.0 * p.A) / (4.0 * scale2)
-    else:
-        scale2 = p.rho**2
-        shift = -(p.V0 + 2.0 * p.C) / (4.0 * scale2)
-    g, c, d = [], [], []
-    for n in range(n_m + 1):
-        half = n + (mu + nu + 1.0) / 2.0
-        gn = ((half**2 - 1.0 / 16.0) + shift) * (4.0 * scale2 / -p.V0)
-        den = (2 * n + mu + nu) * (2 * n + mu + nu + 2)
-        gn += (nu**2 - mu**2) / den if den else math.inf
-        g.append(gn)
-    for n in range(n_m):
-        s = mu + nu
-        c.append(2.0 * (n + mu + 1) * (n + nu + 1)
-                 / ((2 * n + s + 2) * (2 * n + s + 3)))
-        d.append(2.0 * (n + 1) * (n + s + 1)
-                 / ((2 * n + s + 1) * (2 * n + s + 2)))
-    return g, c, d
+    s = mu + nu
+    # a_n rounds as (2n + mu + nu), b and c as (2n + s): the bits the series
+    # coefficients are pinned to (test_series_coefficients_pinned)
+    den_a = (2 * n + mu + nu) * (2 * n + mu + nu + 2)
+    den_b = (2 * n + s + 2) * (2 * n + s + 3)
+    den_c = (2 * n + s + 1) * (2 * n + s + 2)
+    if den_a == 0.0 or den_c == 0.0:
+        raise SingularParameterError(
+            f"recursion denominator vanishes at n={n}, mu+nu={s}")
+    b = 2.0 * (n + mu + 1) * (n + nu + 1) / den_b if den_b else math.inf
+    return (nu**2 - mu**2) / den_a, b, 2.0 * (n + 1) * (n + s + 1) / den_c
 
 
 def assemble_solution(p: HyperbolicParams | TrigParams,
                       E_m: float) -> SeriesSolution:
     """Full series record for the bound state at energy E_m.
 
-    The coefficients solve the recursion of `recursion_coefficients` from
-    f_0 = 1: f_{n+1} = -(g_n f_n + d_{n-1} f_{n-1}) / c_n for n < N. Inside
-    the window 2N + mu + nu + 1 < 0 every c_n is nonzero.
+    The basis parameters are mu = sqrt(-2E/kappa^2), nu = -sqrt(1/4 -
+    2B/kappa^2) for the hyperbolic family (E < 0, B <= kappa^2/8) and
+    mu = sqrt(1/4 + 2D/rho^2), nu = -sqrt(2E/rho^2) for the finite well
+    (E > 0); the series stops at N, the largest n with 2n + mu + nu + 1 < 0.
+    The coefficients solve the transposed Q_n recursion from f_0 = 1:
+
+      f_{n+1} = -(g_n f_n + c_{n-1} f_{n-1}) / b_{n+1}   for n < N,
+
+    with the factors of `_recursion_terms` and g_n = a_n + (4 scale^2 / -V0)
+    ((n + (mu+nu+1)/2)^2 - 1/16 + shift), where scale = kappa and shift =
+    (V0 - 2A) / (4 kappa^2), or scale = rho and shift = -(V0 + 2C) /
+    (4 rho^2) for the finite well. Inside the window every b_{n+1} is
+    nonzero, and row N, where g_N can have a pole, is never read. A
+    coefficient that is not finite in floating point raises
+    TraValidityError: no wavefunction could be sampled from it.
 
     In the paper's notation f_n = H_n(z^-1; gamma, theta) / G_n, where
     gamma^2 = 1/16, G_n = (mu+1)_n (nu+1)_n (mu+nu+1) / (n! (mu+nu+1)_n
@@ -152,43 +117,54 @@ def assemble_solution(p: HyperbolicParams | TrigParams,
     window of `branch_window`; the recursion does not.
     """
     if isinstance(p, HyperbolicParams):
-        basis = hyperbolic_basis(p, E_m)
+        if E_m >= 0:
+            raise TraValidityError(
+                f"series solution requires E < 0, got E={E_m}")
+        if p.B > p.kappa**2 / 8.0:
+            raise TraValidityError(
+                f"series solution requires B <= kappa^2/8, got B={p.B}")
+        scale2 = p.kappa**2
+        mu = math.sqrt(-2.0 * E_m / scale2)
+        nu = -math.sqrt(0.25 - 2.0 * p.B / scale2)
+        shift = (p.V0 - 2.0 * p.A) / (4.0 * scale2)
     else:
-        basis = trig_basis(p, E_m)
-    g, c, d = recursion_coefficients(p, basis)
-    f = [1.0]
-    for n in range(basis.N_m):
-        below = d[n - 1] * f[n - 1] if n else 0.0
-        f.append(-(g[n] * f[n] + below) / c[n])
-    return SeriesSolution(energy=E_m, basis=basis, branch=branch_window(p),
-                          coeffs=tuple(f))
-
-
-def _recursion_terms(n: int, mu: float, nu: float):
-    """Diagonal, sub- and super-diagonal factors of the Q_n recursion.
-
-    Returns (a_n, b_n, c_n) with
-      y Q_n = a_n Q_n + b_n Q_{n-1} + c_n Q_{n+1}.
-    """
-    s = mu + nu
-    d0 = (2 * n + s) * (2 * n + s + 2)
-    d1 = (2 * n + s) * (2 * n + s + 1)
-    d2 = (2 * n + s + 1) * (2 * n + s + 2)
-    if d0 == 0.0 or d1 == 0.0 or d2 == 0.0:
-        raise SingularParameterError(
-            f"recursion denominator vanishes at n={n}, mu+nu={s}")
-    a = (nu**2 - mu**2) / d0
-    b = 2.0 * (n + mu) * (n + nu) / d1
-    c = 2.0 * (n + 1) * (n + s + 1) / d2
-    return a, b, c
+        if E_m <= 0:
+            raise TraValidityError(
+                f"series solution requires E > 0, got E={E_m}")
+        scale2 = p.rho**2
+        mu = math.sqrt(0.25 + 2.0 * p.D / scale2)
+        nu = -math.sqrt(2.0 * E_m / scale2)
+        shift = -(p.V0 + 2.0 * p.C) / (4.0 * scale2)
+    n_top = strict_floor(0.5 * (-nu - mu - 1.0))
+    if n_top < 0:
+        raise TraValidityError(
+            f"energy E={E_m} admits no series term (truncation index {n_top})")
+    energy_scale = 4.0 * scale2 / -p.V0
+    f = [0.0, 1.0]  # f_{-1} = 0, f_0 = 1
+    c = 0.0
+    for n in range(n_top):
+        a, b, c_next = _recursion_terms(n, mu, nu)
+        half = n + (mu + nu + 1.0) / 2.0
+        g = (half**2 - 1.0 / 16.0 + shift) * energy_scale + a
+        f.append(-(g * f[-1] + c * f[-2]) / b)
+        if not math.isfinite(f[-1]):
+            raise TraValidityError(
+                f"series coefficient f_{n + 1} at E={E_m} is not finite "
+                "in floating point")
+        c = c_next
+    return SeriesSolution(energy=E_m, mu=mu, nu=nu, branch=branch_window(p),
+                          coeffs=tuple(f[1:]))
 
 
 def _q_forward(n: int, mu: float, nu: float, y: np.ndarray) -> list[np.ndarray]:
-    """Q_0 .. Q_n at y by forward recursion from Q_0 = 1."""
+    """Q_0 .. Q_n at y by forward recursion from Q_0 = 1, with b_k carried
+    from row k - 1 of `_recursion_terms`."""
     qs = [np.zeros_like(y), np.ones_like(y)]  # Q_{-1} = 0, Q_0 = 1
+    b = 0.0
     for k in range(n):
-        a, b, c = _recursion_terms(k, mu, nu)
+        a, b_next, c = _recursion_terms(k, mu, nu)
         qs.append(((y - a) * qs[-1] - b * qs[-2]) / c)
+        b = b_next
     return qs[1:]
 
 
@@ -209,7 +185,7 @@ def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
         warnings.warn(f"excluded {int((~keep).sum())} grid points outside "
                       "the open domain", RuntimeWarning, stacklevel=2)
     x = x[keep]
-    mu, nu = sol.basis.mu, sol.basis.nu
+    mu, nu = sol.mu, sol.nu
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(p, HyperbolicParams):
             u = p.kappa * x

@@ -122,12 +122,13 @@ def test_criterion_5_polynomial_identities():
         terms = ((y * y - 1) * qpp, ((mu + nu + 2) * y + mu - nu) * qp,
                  -n * (n + mu + nu + 1) * f[2])
         ok &= abs(sum(terms)) <= 1e-7 * max(1.0, *(abs(t) for t in terms))
-    # Favard positivity of the series recursion products
+    # Favard positivity of the series recursion products b_{n+1} c_n
     for name, p in HYP.items():
         for e in dvr.solve_spectrum(p).eigenvalues:
-            basis = tra.hyperbolic_basis(p, e)
-            _, c, d = tra.recursion_coefficients(p, basis)
-            ok &= all(cn * dn > 0 for cn, dn in zip(c, d))
+            sol = tra.assemble_solution(p, e)
+            for n in range(len(sol.coeffs) - 1):
+                _, b, c = tra._recursion_terms(n, sol.mu, sol.nu)
+                ok &= b * c > 0
     _report(5, "polynomial identities", worst, ok)
     assert ok
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -197,6 +198,26 @@ def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     assert proc.returncode == code and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+def _cap_address_space():
+    """Cap a child's address space at 1.5 GB: a runaway allocation fails
+    there with MemoryError instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+def test_wavefunction_deep_well_stops():
+    # N = 8.8e11 for this state and the series coefficients overflow at
+    # f_18; the coefficient list once grew on towards N. A child with a
+    # time limit and a memory cap turns such a regression into a failure
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptbound.cli", "wavefunction", *S1_FLAGS[:6],
+         "--B=-1e30", "--kappa", "1", "--states", "0", "--samples", "3"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: series coefficient f_18 ")
 
 
 def test_spectrum_usage_error(capsys):
@@ -425,6 +446,15 @@ PINNED_BODIES = {
                         "319857bf4a07b415128a7985d514190b716c12dc12bf051f0e2f31d7633f86b0"),
     "wavefunction-S4": (["wavefunction", *S4_FLAGS, "--states", "0", "1", "2"],
                         "f652b735d371881807e3bfbd77cecedb19136737fe3e6f17e08ddc9aead6a2dc"),
+    # the upper finite-well states, whose series sums are the most sensitive
+    # to the rounding of the recursion factors. At 500 samples one S3 cell
+    # (psi_7 near a node) prints differently at one and two BLAS threads.
+    "wavefunction-S3-upper": (["wavefunction", *S3_FLAGS, "--states", "6", "7",
+                               "8", "9", "--samples", "1000"],
+                              "8f329ffeab8dd41b57d6d26fd79ecad2e9316f97083b028d4879d0dca7036ab4"),
+    "wavefunction-S4-upper": (["wavefunction", *S4_FLAGS, "--states", "6", "7",
+                               "8", "9"],
+                              "a6f76d0e5bf253f164632f9760c77f7fdfe71dc6ae20ed8b110969ff43e5e5ce"),
 }
 
 

@@ -84,6 +84,19 @@ def test_differential_equation_residual(case, y):
     assert abs(sum(terms)) <= 1e-7 * scale
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_singular_set_edge(n):
+    # mu + nu = -2n - 1 is a pole of the recursion for Q_{n+1}, not of the
+    # rows Q_0 .. Q_n read: Q_n comes back, Q_{n+1} raises
+    mu, y = 0.5, 3.0
+    nu = -2 * n - 1 - mu
+    got = _q_forward(n, mu, nu, y)[-1]
+    want, mag = hyp_sum(n, mu, nu, y)
+    assert abs(got - want) <= 1e-10 * max(1.0, mag)
+    with pytest.raises(SingularParameterError):
+        _q_forward(n + 1, mu, nu, y)
+
+
 def _weighted_inner(mu, nu, n, m, scale):
     def integrand(y):
         q = _q_forward(max(n, m), mu, nu, y)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import pochhammer
 
-from ptbound import dvr, tra
+from ptbound import dvr, reference, tra
 from ptbound.errors import TraValidityError
 from ptbound.potentials import HyperbolicParams, TrigParams
 from ptbound.tra import Branch
@@ -25,42 +26,51 @@ def test_strict_floor():
     assert tra.strict_floor(0.0) == -1
 
 
+def _n_top(sol):
+    """The truncation index N: the largest n with 2n + mu + nu + 1 < 0."""
+    return tra.strict_floor(0.5 * (-sol.nu - sol.mu - 1.0))
+
+
 def test_hyperbolic_basis_s1_ground():
-    basis = tra.hyperbolic_basis(S1, E1[0])
-    assert basis.epsilon == pytest.approx(2 * E1[0], rel=1e-12)
-    assert basis.mu == pytest.approx(5.880951, abs=1e-6)
-    assert basis.nu == pytest.approx(-math.sqrt(60.25), rel=1e-12)
-    assert basis.N_m == 0
+    sol = tra.assemble_solution(S1, E1[0])
+    assert sol.mu**2 == pytest.approx(-2 * E1[0], rel=1e-12)
+    assert sol.mu == pytest.approx(5.880951, abs=1e-6)
+    assert sol.nu == pytest.approx(-math.sqrt(60.25), rel=1e-12)
+    assert len(sol.coeffs) - 1 == _n_top(sol) == 0
 
 
 def test_hyperbolic_basis_s1_second_excited():
-    basis = tra.hyperbolic_basis(S1, E1[2])
-    assert basis.mu == pytest.approx(1.332687, abs=1e-6)
-    assert basis.N_m == 2
+    sol = tra.assemble_solution(S1, E1[2])
+    assert sol.mu == pytest.approx(1.332687, abs=1e-6)
+    assert len(sol.coeffs) - 1 == _n_top(sol) == 2
 
 
 def test_hyperbolic_basis_validity():
     with pytest.raises(TraValidityError):
-        tra.hyperbolic_basis(S1, 1.0)
+        tra.assemble_solution(S1, 1.0)
     bad = HyperbolicParams(V0=10.0, A=-20.0, B=1.0, kappa=1.0)  # B > k^2/8
     with pytest.raises(TraValidityError):
-        tra.hyperbolic_basis(bad, -1.0)
+        tra.assemble_solution(bad, -1.0)
+    # mu >= -nu - 1: below the window, for either family
+    for p, e in ((S1, -30.0), (S3, 1e-3)):
+        with pytest.raises(TraValidityError, match="admits no series term"):
+            tra.assemble_solution(p, e)
 
 
 def test_trig_basis_s3():
     e0 = 16.797026
-    basis = tra.trig_basis(S3, e0)
+    sol = tra.assemble_solution(S3, e0)
     rho2 = S3.rho**2
-    assert basis.epsilon == pytest.approx(2 * e0 / rho2, rel=1e-10)
-    assert basis.mu == pytest.approx(math.sqrt(0.25 + 2 * 2.0 / rho2), rel=1e-12)
-    assert basis.nu == pytest.approx(-math.sqrt(basis.epsilon), rel=1e-12)
-    assert basis.N_m == 0
-    assert tra.trig_basis(S3, 805.155660).N_m == 11
+    assert sol.nu**2 == pytest.approx(2 * e0 / rho2, rel=1e-10)
+    assert sol.mu == pytest.approx(math.sqrt(0.25 + 2 * 2.0 / rho2), rel=1e-12)
+    assert sol.nu == pytest.approx(-math.sqrt(2 * e0 / rho2), rel=1e-12)
+    assert len(sol.coeffs) - 1 == _n_top(sol) == 0
+    assert len(tra.assemble_solution(S3, 805.155660).coeffs) - 1 == 11
 
 
 def test_trig_basis_validity():
     with pytest.raises(TraValidityError):
-        tra.trig_basis(S3, -1.0)
+        tra.assemble_solution(S3, -1.0)
 
 
 def test_series_params_hyperbolic_branches():
@@ -103,7 +113,7 @@ def test_series_params_boundaries():
         for e in levels:
             sol = tra.assemble_solution(p, e)
             assert sol.branch is None
-            assert len(sol.coeffs) == sol.basis.N_m + 1
+            assert len(sol.coeffs) == _n_top(sol) + 1
             assert all(math.isfinite(f) for f in sol.coeffs)
 
 
@@ -114,25 +124,25 @@ def test_branch_window():
 
 
 def test_recursion_coefficients_favard():
-    for p, energies in (
-            (S1, dvr.solve_spectrum(S1).eigenvalues),
-            (S4, dvr.solve_spectrum(S4).eigenvalues)):
-        for e in energies:
-            if isinstance(p, HyperbolicParams):
-                basis = tra.hyperbolic_basis(p, e)
-            else:
-                basis = tra.trig_basis(p, e)
-            g, c, d = tra.recursion_coefficients(p, basis)
-            assert len(g) == basis.N_m + 1
-            assert len(c) == len(d) == basis.N_m
-            for cn, dn in zip(c, d):
-                assert cn * dn > 0.0
+    # b_{n+1} c_n > 0 on every row of the table the coefficients read
+    for p in (S1, S4):
+        for e in _levels(p):
+            sol = tra.assemble_solution(p, e)
+            for n in range(len(sol.coeffs) - 1):
+                _, b, c = tra._recursion_terms(n, sol.mu, sol.nu)
+                assert b * c > 0.0
 
 
-def test_recursion_coefficients_single_term():
-    basis = tra.hyperbolic_basis(S1, E1[0])  # N = 0
-    g, c, d = tra.recursion_coefficients(S1, basis)
-    assert len(g) == 1 and c == [] and d == []
+def test_recursion_coefficients_single_term(monkeypatch):
+    # the coefficients read rows 0 .. N-1 of the table, never row N (where
+    # g_N can have a pole); N = 0 reads none
+    rows, terms = [], tra._recursion_terms
+    monkeypatch.setattr(tra, "_recursion_terms",
+                        lambda n, mu, nu: rows.append(n) or terms(n, mu, nu))
+    assert tra.assemble_solution(S1, E1[0]).coeffs == (1.0,)
+    assert rows == []
+    assert len(tra.assemble_solution(S1, E1[2]).coeffs) == 3
+    assert rows == [0, 1]
 
 
 def test_assemble_solution_single_term():
@@ -147,8 +157,8 @@ def test_assemble_solution_at_recursion_pole():
     for B, e, n_top in ((-4.375, -0.5, 0), (-10.0, -0.125, 1)):
         p = HyperbolicParams(V0=10.0, A=-20.0, B=B, kappa=1.0)
         sol = tra.assemble_solution(p, e)
-        assert sol.basis.mu + sol.basis.nu == -2 * n_top - 2
-        assert sol.coeffs == pytest.approx(_paper_coefficients(p, sol.basis),
+        assert sol.mu + sol.nu == -2 * n_top - 2
+        assert sol.coeffs == pytest.approx(_paper_coefficients(p, sol),
                                            rel=1e-14)
 
 
@@ -156,24 +166,67 @@ def test_assemble_solution_leading_coefficient():
     for e in E1:
         sol = tra.assemble_solution(S1, e)
         assert sol.coeffs[0] == 1.0
-        assert len(sol.coeffs) == sol.basis.N_m + 1
+        assert len(sol.coeffs) == _n_top(sol) + 1
+
+
+def test_assemble_solution_nonfinite_coefficient_raises():
+    # N = 88295 here, and f_90 already overflows: the series stops with an
+    # error instead of running on towards N (N is kept small enough that a
+    # regression returns rather than exhausts memory; the CLI test
+    # `test_wavefunction_deep_well_stops` runs N = 8.8e11 in a child)
+    p = HyperbolicParams(V0=10.0, A=-20.0, B=-1e16, kappa=1.0)
+    with pytest.raises(TraValidityError, match="f_90 .* not finite"):
+        tra.assemble_solution(p, -9975041606125778.0)
+
+
+# sha256 of repr([(mu, nu, coeffs), ...]) at the published energies of
+# S1-S4, both columns: a new digest means a series coefficient moved
+COEFFS_DIGEST = "acc670df2321f012dc4265e8b62f6f46561aa66d18add1c2f2d546cea912dcd7"
+
+
+def test_series_coefficients_pinned():
+    cases = []
+    for table in ("table1", "table2"):
+        sets, spectra = reference.TABLES[table]
+        for name, p in sets.items():
+            for method in ("DVR", "HOFD"):
+                for e in spectra[name][method]:
+                    sol = tra.assemble_solution(p, e)
+                    cases.append((sol.mu, sol.nu, sol.coeffs))
+    assert len(cases) == 52
+    assert hashlib.sha256(repr(cases).encode()).hexdigest() == COEFFS_DIGEST
+
+
+def _g(p, mu, nu, n):
+    """Diagonal g_n of the coefficient recursion, from the formula of
+    `assemble_solution`: the energy term plus a_n (floats or mpmath)."""
+    if isinstance(p, HyperbolicParams):
+        scale2, shift = p.kappa**2, (p.V0 - 2 * p.A) / (4 * p.kappa**2)
+    else:
+        scale2, shift = p.rho**2, -(p.V0 + 2 * p.C) / (4 * p.rho**2)
+    half = n + (mu + nu + 1) / 2
+    return ((half**2 - 0.0625 + shift) * (4 * scale2) / -p.V0
+            + (nu**2 - mu**2) / ((2 * n + mu + nu) * (2 * n + mu + nu + 2)))
+
+
+def _c(n, mu, nu):
+    """c_n of the Q_n recursion (floats or mpmath)."""
+    s = mu + nu
+    return 2 * (n + 1) * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
 
 
 def test_coefficients_satisfy_recursion():
     # the assembled coefficients solve the three-term relation
     for p, e in ((S1, E1[2]), (S4, 68.685118)):
         sol = tra.assemble_solution(p, e)
-        if isinstance(p, HyperbolicParams):
-            basis = tra.hyperbolic_basis(p, e)
-        else:
-            basis = tra.trig_basis(p, e)
-        g, c, d = tra.recursion_coefficients(p, basis)
         f = sol.coeffs
-        for n in range(basis.N_m):
-            lhs = g[n] * f[n] + c[n] * f[n + 1]
+        for n in range(len(f) - 1):
+            _, b, c = tra._recursion_terms(n, sol.mu, sol.nu)
+            g = _g(p, sol.mu, sol.nu, n)
+            lhs = g * f[n] + b * f[n + 1]
             if n >= 1:
-                lhs += d[n - 1] * f[n - 1]
-            scale = max(abs(g[n] * f[n]), abs(c[n] * f[n + 1]), 1.0)
+                lhs += _c(n - 1, sol.mu, sol.nu) * f[n - 1]
+            scale = max(abs(g * f[n]), abs(b * f[n + 1]), 1.0)
             assert abs(lhs) <= 1e-10 * scale
 
 
@@ -189,26 +242,27 @@ def _paper_z_theta(p):
     return math.sqrt(4.0 * scale4 / -prod), math.acosh(ratio)
 
 
-def _paper_coefficients(p, basis):
+def _paper_coefficients(p, sol):
     """H_n(z^-1; gamma, -theta) / G_n from the paper's recursion and
     normalization, for parameters inside a window of `branch_window`."""
-    mu, nu = basis.mu, basis.nu
+    mu, nu, n_top = sol.mu, sol.nu, len(sol.coeffs) - 1
     z, theta = _paper_z_theta(p)
     if tra.branch_window(p) is Branch.TRIG:
         cs, sn = math.cos(theta), -math.sin(theta)
     else:
         cs, sn = math.cosh(theta), -math.sinh(theta)
     h = [1.0]
-    h_prev = 0.0
-    for n in range(basis.N_m):
-        a, b, c = tra._recursion_terms(n, mu, nu)
+    h_prev, b = 0.0, 0.0
+    for n in range(n_top):
+        a, b_next, c = tra._recursion_terms(n, mu, nu)
         diag = ((n + (mu + nu + 1) / 2.0) ** 2 - 1.0 / 16.0) * z * sn + a
         h_prev, h_n = h[-1], ((cs - diag) * h[-1] - b * h_prev) / c
         h.append(h_n)
+        b = b_next
     s = mu + nu
     g_n = [pochhammer(mu + 1, n) * pochhammer(nu + 1, n)
            / (math.factorial(n) * pochhammer(s + 1, n))
-           * (s + 1) / (2 * n + s + 1) for n in range(basis.N_m + 1)]
+           * (s + 1) / (2 * n + s + 1) for n in range(n_top + 1)]
     return [hn / gn for hn, gn in zip(h, g_n)]
 
 
@@ -217,7 +271,7 @@ def test_coefficients_match_paper_polynomials(p):
     # f_n = H_n / G_n, as the `assemble_solution` docstring states
     for e in _levels(p):
         sol = tra.assemble_solution(p, e)
-        paper = _paper_coefficients(p, sol.basis)
+        paper = _paper_coefficients(p, sol)
         top = max(abs(f) for f in sol.coeffs)
         for f, ref in zip(sol.coeffs, paper, strict=True):
             assert abs(f - ref) <= 1e-12 * top
@@ -245,19 +299,20 @@ def _identity_error(p, e, points=8):
         (V0/4) (y -+ 1) P(y) [d_N f_N Q_{N+1}(y) + t_N Q_N(y)],
 
     - for the hyperbolic family and + for the finite well, P is the
-    prefactor of `eval_wavefunction`, d_N the d formula at n = N and
-    t_N = g_N f_N + d_{N-1} f_{N-1}. psi'' comes from mpmath at 40 digits.
+    prefactor of `eval_wavefunction`, d_N = c_N of the Q_n recursion and
+    t_N = g_N f_N + c_{N-1} f_{N-1}, all worked out in mpmath. psi'' comes
+    from mpmath at 40 digits.
     """
     sol = tra.assemble_solution(p, e)
-    n_top = sol.basis.N_m
-    g, _, d = tra.recursion_coefficients(p, sol.basis)
+    n_top = len(sol.coeffs) - 1
     with mpmath.workdps(40):
-        mu, nu = mpmath.mpf(sol.basis.mu), mpmath.mpf(sol.basis.nu)
+        mu, nu = mpmath.mpf(sol.mu), mpmath.mpf(sol.nu)
         f = [mpmath.mpf(c) for c in sol.coeffs]
         s = mu + nu
-        d_top = (2 * (n_top + 1) * (n_top + s + 1)
-                 / ((2 * n_top + s + 1) * (2 * n_top + s + 2)))
-        t_top = g[n_top] * f[n_top] + (d[n_top - 1] * f[n_top - 1] if n_top else 0)
+        d_top = _c(n_top, mu, nu)
+        t_top = _g(p, mu, nu, n_top) * f[n_top]
+        if n_top:
+            t_top += _c(n_top - 1, mu, nu) * f[n_top - 1]
         if isinstance(p, HyperbolicParams):
             sign, length, scale = -1, 6.0 / p.kappa, mpmath.mpf(p.kappa)
 
@@ -377,7 +432,7 @@ def test_eval_wavefunction_excludes_boundary():
 
 def test_truncation_monotone_trig():
     energies = dvr.solve_spectrum(S3).eigenvalues
-    ns = [tra.trig_basis(S3, e).N_m for e in energies]
+    ns = [len(tra.assemble_solution(S3, e).coeffs) - 1 for e in energies]
     assert all(a <= b for a, b in zip(ns, ns[1:]))
 
 
