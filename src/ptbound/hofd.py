@@ -11,7 +11,10 @@ process, and samples the potential once, for the diagonal and the shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
-(`linalg.eig_shift_invert`) rather than a dense eigendecomposition. A row
+(`linalg.eig_shift_invert`) rather than a dense eigendecomposition. Each
+hyperbolic level after the first is solved from a shift between the level
+below it and the asymptote, where it converges in fewer Krylov vectors
+than from a shift left of the whole spectrum. A row
 reaches at most p = 2k - 1 columns from the diagonal (the one-sided wall
 stencils), so the operator is built as its M x (2p + 1) band (the layout
 of `linalg`) and the solve factors it block by block in O(M) work, where
@@ -183,10 +186,13 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
     For the hyperbolic family the operator is rebuilt per index j with the
     retuned zeta(j) and the j-th smallest near-real eigenvalue is taken,
     stopping at the first one at or above the asymptote (a continuum
-    artifact, as in DVR); the finite well uses a single build. The solve
-    is shifted to one below the minimum of the potential on the grid, left
-    of every eigenvalue. (The operator's diagonal is no such bound: it
-    carries the stencil's large diagonal too.)
+    artifact, as in DVR); the finite well uses a single build. The finite
+    well and level j = 1 are solved from a shift of one below the minimum
+    of the potential on the grid, left of every eigenvalue. (The
+    operator's diagonal is no such bound: it carries the stencil's large
+    diagonal too.) Each later level j is solved from the midpoint of level
+    j - 1 and the asymptote, given the levels found so far: a bound level
+    j lies nearer that shift than every level below it.
     """
     cfg = cfg or HofdConfig()
     if count < 0:
@@ -196,7 +202,9 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
     if isinstance(p, HyperbolicParams):
         for j in range(1, count + 1):
             op, v = hyperbolic_operator(p, cfg, j)
-            real, resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, j)
+            sigma = ((eigenvalues[-1] + ASYMPTOTE) / 2.0 if eigenvalues
+                     else float(v.min()) - 1.0)
+            real, resid = linalg.eig_shift_invert(op, sigma, j, eigenvalues)
             lam = float(real[j - 1])
             if lam >= ASYMPTOTE:
                 break

@@ -17,7 +17,7 @@ matrix is factored in blocks of at least max(BLOCK, p) rows.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -139,10 +139,12 @@ def shifted_solver(band: np.ndarray,
     return solve
 
 
-def eig_shift_invert(band: np.ndarray, sigma: float,
-                     count: int) -> tuple[np.ndarray, float]:
+def eig_shift_invert(band: np.ndarray, sigma: float, count: int,
+                     found: Sequence[float] = ()) -> tuple[np.ndarray, float]:
     """The `count` smallest near-real eigenvalues of a real banded matrix a,
-    given as its band, whose spectrum lies to the right of `sigma`.
+    given as its band. `found` may hold approximations of the lowest few of
+    them (ascending, fewer than `count`), such as the levels of a nearby
+    matrix.
 
     Shift-invert Arnoldi: with B = (a - sigma I)^-1 the eigenvalues nearest
     sigma become the largest eigenvalues theta of B and converge first in
@@ -157,19 +159,30 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
     Problems, 2011, ch. 6). The values are accepted once that estimate is at
     most RITZ_RTOL * |theta| for each of the `count` smallest near-real
     lambda (as d lambda / |lambda - sigma| = d theta / |theta|, the same
-    bound relative to |lambda - sigma|), or once the basis spans the whole
-    space. A step that ends on a restart (beta_m = 0) is
-    never accepted below the whole space: its estimates all read 0, but its
-    Ritz values then cover only an invariant subspace and may miss a wanted
-    eigenvalue. Every returned pair must meet `_residual`. A band that is
-    not 2-D of odd width raises ValueError; a non-finite a, a singular block
-    or a failed Hessenberg eigensolve raises SolverError.
+    bound relative to |lambda - sigma|), and each value of `found` and the
+    lambda of its rank are each other's nearest among those lambda and
+    `found` together; or once the basis spans the whole space. The
+    eigenvalues nearest sigma converge first, so without `found` sigma must
+    lie left of every wanted eigenvalue: one far left of it may have no
+    Ritz value yet when the others have converged, and a higher eigenvalue
+    then fills its slot. With `found`, such a slot fails the match (a rank
+    match alone would pass it for a single level). A step that ends on a
+    restart (beta_m = 0) is never accepted below the whole space: its
+    estimates all read 0, but its Ritz values then cover only an invariant
+    subspace and may miss a wanted eigenvalue. Every returned pair must
+    meet `_residual`. A band that is
+    not 2-D of odd width, or `found` with count or more values, raises
+    ValueError; a non-finite a, a singular block or a failed Hessenberg
+    eigensolve raises SolverError.
 
     Returns the eigenvalues ascending and the largest relative residual.
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or band.shape[1] % 2 == 0:
         raise ValueError(f"need a band of odd width, got shape {band.shape}")
+    found = np.asarray(found, dtype=float)
+    if len(found) >= max(count, 1):
+        raise ValueError(f"{len(found)} levels found leave no slot of {count}")
     norm = matrix_norm(band)  # the row sums of |band| are those of |a|
     if count == 0:
         return np.empty(0), 0.0
@@ -209,7 +222,8 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
         beta = hess[m, m - 1]
         if m == n or (len(picked) == count and beta > 0.0
                       and np.all(beta * np.abs(y[m - 1, picked])
-                                 <= RITZ_RTOL * np.abs(theta[picked]))):
+                                 <= RITZ_RTOL * np.abs(theta[picked]))
+                      and _matches(lam[picked].real, found)):
             break
 
     if len(picked) < count:
@@ -220,6 +234,18 @@ def eig_shift_invert(band: np.ndarray, sigma: float,
     padded = np.pad(x, ((width // 2,) * 2, (0, 0)))  # a x: 2p + 1 multiply-adds
     ax = sum(band[:, r, None] * padded[r:r + n] for r in range(width))
     return lam[picked].real, _residual(ax, x, lam[picked], norm)
+
+
+def _matches(ritz: np.ndarray, found: np.ndarray) -> bool:
+    """Whether found[i] and ritz[i] are each other's nearest among the
+    values of both (ascending) arrays, for every i < len(found)."""
+    k = len(found)
+    values = np.concatenate([found, ritz])
+    dist = np.abs(values[:, None] - values)
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.argmin(axis=1)
+    own = np.arange(k)
+    return bool(np.all(nearest[own] == own + k) and np.all(nearest[own + k] == own))
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Test-only references: conversions between dense matrices and the band
 layout of `ptbound.linalg` (band[i, r] = a[i, i - p + r]), the dense
-eigensolve that the banded solver is held to, and the terminating
+eigensolve that the banded solver is held to, a count of its Krylov
+vectors, and the terminating
 hypergeometric sum and closed-form norm of the Jacobi polynomials Q_n that
 the recursion `tra._q_forward` is held to."""
 
@@ -49,6 +50,25 @@ def near_real_sorted(w):
     """Real parts of the eigenvalues near the real axis
     (`linalg.near_real_order`), ascending."""
     return w[linalg.near_real_order(w)].real
+
+
+def count_shifted_solves(monkeypatch):
+    """Patch `linalg.shifted_solver` to count its solves, one per Krylov
+    vector; returns the list of counts, one per factorization."""
+    solves = []
+    factor = linalg.shifted_solver
+
+    def counted(band, sigma):
+        solve = factor(band, sigma)
+        solves.append(0)
+
+        def step(b):
+            solves[-1] += 1
+            return solve(b)
+        return step
+
+    monkeypatch.setattr(linalg, "shifted_solver", counted)
+    return solves
 
 
 def pochhammer(x, n):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import dense, eig_general, near_real_sorted
+from conftest import count_shifted_solves, dense, eig_general, near_real_sorted
 
 from ptbound import hofd, linalg, reference
 from ptbound.potentials import HyperbolicParams, TrigParams
@@ -265,7 +265,31 @@ def test_finite_well_levels_match_dense_eig(p, M):
         assert abs(g - r) <= 2e-6 * abs(r)
 
 
-@pytest.mark.parametrize("p", [S1, S3], ids=["S1", "S3"])
+@pytest.mark.parametrize("p", [S1, S2, SHALLOW, WIDE],
+                         ids=["S1", "S2", "shallow", "kappa0.05"])
+def test_hyperbolic_shift_per_level(p, monkeypatch):
+    # level 1 is solved from a shift left of every eigenvalue, each later
+    # level j from one between level j - 1 and the asymptote 0, with the
+    # levels below it handed to the solver
+    solve = linalg.eig_shift_invert
+    calls = []
+
+    def recorded(a, sigma, count, found=()):
+        w, _ = eig_general(dense(a))
+        calls.append((sigma, count, w, list(found)))
+        return solve(a, sigma, count, found)
+
+    monkeypatch.setattr(linalg, "eig_shift_invert", recorded)
+    levels = hofd.hofd_spectrum(p, hofd.HofdConfig(M=60), count=10).eigenvalues
+    assert len(calls) >= 2  # the bound levels and the first continuum probe
+    sigma, count, w, found = calls[0]
+    assert count == 1 and not found and sigma < w.real.min()
+    for j, (sigma, count, w, found) in enumerate(calls[1:], start=2):
+        assert count == j and found == list(levels[:j - 1])
+        assert near_real_sorted(w)[j - 2] < sigma < 0.0
+
+
+@pytest.mark.parametrize("p", [S3], ids=["S3"])
 def test_shift_below_spectrum(p, monkeypatch):
     # eig_shift_invert's contract: no eigenvalue left of the shift
     solve = linalg.eig_shift_invert
@@ -280,3 +304,17 @@ def test_shift_below_spectrum(p, monkeypatch):
     hofd.hofd_spectrum(p, hofd.HofdConfig(M=60), count=3)
     assert shifts
     assert all(sigma < lowest for sigma, lowest in shifts)
+
+
+@pytest.mark.parametrize("M, count, bound", [(hofd.DEFAULT_M, 3, 60),
+                                             (1000, 10, 200)])
+def test_krylov_vectors_per_level(M, count, bound, monkeypatch):
+    # one shifted solve per Krylov vector. From a shift left of the whole
+    # spectrum, S1's top level (j = 3) took 100 vectors at the default M and
+    # the continuum probe of an explicit --count (j = 4) 420 at M = 1000;
+    # from the midpoint of the level below and the asymptote, the last
+    # solve of each call stays within `bound`
+    solves = count_shifted_solves(monkeypatch)
+    levels = hofd.hofd_spectrum(S1, hofd.HofdConfig(M=M), count=count).eigenvalues
+    assert len(levels) == 3 and len(solves) == min(count, 4)
+    assert solves[-1] <= bound

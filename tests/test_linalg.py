@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import band, dense, eig_general
+from conftest import band, count_shifted_solves, dense, eig_general
 
 from ptbound import hofd, linalg, reference
 from ptbound.errors import NonSymmetricError, SolverError
@@ -183,6 +183,29 @@ def test_eig_shift_invert_residual_contract(monkeypatch):
         linalg.eig_shift_invert(band(a, 39), 0.0, 2)
 
 
+def test_eig_shift_invert_finds_level_left_of_shift():
+    # -1e4 lies far left of the shift, so its Ritz value appears only after
+    # 2 and 3 have converged: without the levels below, the first step
+    # fills slot 1 with 2; given them, it waits for -1e4 in slot 1
+    a = np.diag(np.concatenate([[-1e4], np.arange(2.0, 201.0)]))
+    wrong, _ = linalg.eig_shift_invert(band(a, 0), 1.5, 2)
+    assert np.allclose(wrong, [2.0, 3.0], rtol=0.0, atol=1e-12)
+    for found in ([-1.001e4], [-1.001e4, 2.01]):
+        count = len(found) + 1
+        got, resid = linalg.eig_shift_invert(band(a, 0), 1.5, count, found)
+        assert abs(got[0] + 1e4) <= 1e-12 * 1e4
+        assert abs(got[-1] - count) <= 1e-12
+        assert resid <= linalg.RESIDUAL_RTOL
+
+
+@pytest.mark.parametrize("count, found", [(2, [1.0, 2.0]), (1, [1.0]),
+                                          (0, [1.0])])
+def test_eig_shift_invert_rejects_found_without_slot(count, found):
+    with pytest.raises(ValueError, match="no slot"):
+        linalg.eig_shift_invert(band(np.diag(np.arange(1.0, 9.0)), 0), 0.0,
+                                count, found)
+
+
 def test_eig_shift_invert_count_zero():
     got, resid = linalg.eig_shift_invert(band(np.eye(3), 0), 0.0, 0)
     assert got.shape == (0,) and resid == 0.0
@@ -263,18 +286,7 @@ def test_eig_shift_invert_stops_on_residual_estimate(monkeypatch):
     # one shifted solve per Krylov vector; the estimate accepts the lowest
     # hyperbolic level at the first check and the finite well's ten lowest
     # at the second, where two agreeing steps needed one step more
-    solves = []
-    factor = linalg.shifted_solver
-
-    def counted(band, sigma):
-        solve = factor(band, sigma)
-        solves.append(0)
-
-        def step(b):
-            solves[-1] += 1
-            return solve(b)
-        return step
-    monkeypatch.setattr(linalg, "shifted_solver", counted)
+    solves = count_shifted_solves(monkeypatch)
     s1, _, _, s3 = _hofd_cases(500)
     linalg.eig_shift_invert(*s1)
     linalg.eig_shift_invert(*s3)
