@@ -17,12 +17,12 @@ import functools
 import json
 import re
 import sys
+from itertools import zip_longest
 
 import numpy as np
 
 from . import dvr, hofd, reference, tra
 from .errors import PtboundError, SolverError
-from .hofd import HofdConfig
 from .potentials import HyperbolicParams, TrigParams, spd_grid
 
 EXIT_OK = 0
@@ -58,8 +58,11 @@ def _emit(manifest: dict, columns: list[str], rows: list,
         lines.extend(map(",".join, rows))
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a path the user gave: a usage error
+            raise ValueError(f"--out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -103,21 +106,21 @@ def _params_from_args(args, parser):
 
 
 def _spectra(args, p):
-    """Run the requested solver(s); returns {method_name: SpectrumResult}."""
+    """Run the requested solver(s); returns {method_name: SpectrumResult}.
+    Each solver defaults --grid-M and --count itself, but for one rule:
+    with no --count, HOFD keeps as many hyperbolic levels as DVR finds (DVR
+    keeps every level below the asymptote, HOFD at most TRIG_LEVELS)."""
     results = {}
     if args.method in ("dvr", "both"):
         results["DVR"] = dvr.solve_spectrum(p, args.grid_M, args.box_b, args.count)
     if args.method in ("hofd", "both"):
         count = args.count
-        if count is None and isinstance(p, TrigParams):
-            count = dvr.TRIG_LEVELS
-        elif count is None:
-            # as many levels as DVR finds; DVR alone runs on its default grid,
-            # since --grid-M sizes the HOFD grid here
+        if count is None and isinstance(p, HyperbolicParams):
+            # DVR alone runs on its default grid, since --grid-M sizes the
+            # HOFD grid here
             count = len((results.get("DVR")
                          or dvr.solve_spectrum(p, b=args.box_b)).eigenvalues)
-        cfg = HofdConfig(M=args.grid_M or hofd.DEFAULT_M, k=args.stencil_k)
-        results["HOFD"] = hofd.hofd_spectrum(p, cfg, count=count)
+        results["HOFD"] = hofd.hofd_spectrum(p, args.grid_M, args.stencil_k, count)
     return results
 
 
@@ -225,9 +228,10 @@ def _verify_tables(which: str, report: list) -> bool:
             continue
         for name, p in sets.items():
             for method, exp in spectra[name].items():
-                got = (dvr.solve_spectrum(p, count=len(exp)) if method == "DVR"
-                       else hofd.hofd_spectrum(p, count=len(exp))).eigenvalues
-                for n, (g, e) in enumerate(zip(got, exp)):
+                solve = dvr.solve_spectrum if method == "DVR" else hofd.hofd_spectrum
+                got = solve(p, count=len(exp)).eigenvalues
+                # a level the solver did not return fails as nan
+                for n, (g, e) in enumerate(zip_longest(got, exp, fillvalue=np.nan)):
                     tol = reference.tolerance(table, method, n)
                     passed = abs(g - e) <= tol
                     ok &= passed

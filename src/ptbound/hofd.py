@@ -1,36 +1,38 @@
 """Higher-order finite-difference eigensolver.
 
 The semi-infinite problem is compactified by s = (2/pi) arctan(zeta*x)
-onto (0, 1) and discretized on a uniform grid with wide stencils of
-maximal consistency order; the finite well needs only a rescaling to
-(0, 1). The compactification scale zeta is retuned per eigenvalue
-index, so the hyperbolic operator is rebuilt for every requested level.
-Each build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1
-stencil weight pairs (`operator`), computed once per (order, k) in a
-process, and samples the potential once, for the diagonal and the shift.
+onto (0, 1) and discretized on the uniform grid s_i = i/(M+1), i = 1..M,
+with stencils of half-width k and maximal consistency order; the finite
+well needs only a rescaling to (0, 1). The entry point
+`hofd_spectrum(p, M, k, count)` takes the arguments of
+`dvr.solve_spectrum(p, M, b, count)`, k in place of b, and checks M and k
+itself. The compactification scale zeta is retuned per eigenvalue index,
+so the hyperbolic operator is rebuilt for every requested level. Each
+build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1 stencil
+weight pairs (`operator`), computed once per (order, k) in a process, and
+samples the potential once, for the diagonal and the shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
 eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
 (`linalg.eig_shift_invert`) rather than a dense eigendecomposition. Each
 hyperbolic level after the first is solved from a shift between the level
 below it and the asymptote, where it converges in fewer Krylov vectors
-than from a shift left of the whole spectrum. A row
-reaches at most p = 2k - 1 columns from the diagonal (the one-sided wall
-stencils), so the operator is built as its M x (2p + 1) band (the layout
-of `linalg`) and the solve factors it block by block in O(M) work, where
-a dense inverse would cost O(M^3); no M x M operator is formed.
+than from a shift left of the whole spectrum. A row reaches at most
+p = 2k - 1 columns from the diagonal (the one-sided wall stencils), so
+the operator is built as its M x (2p + 1) band (the layout of `linalg`)
+and the solve factors it block by block in O(M) work, where a dense
+inverse would cost O(M^3); no M x M operator is formed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .dvr import SpectrumResult
+from .dvr import TRIG_LEVELS, SpectrumResult
 from .potentials import (
     ASYMPTOTE,
     HyperbolicParams,
@@ -41,29 +43,6 @@ from .potentials import (
 
 DEFAULT_M = 500
 DEFAULT_K = 4
-
-
-@dataclass(frozen=True)
-class HofdConfig:
-    """Uniform grid s_i = i/(M+1) with stencil half-width k."""
-
-    M: int = DEFAULT_M
-    k: int = DEFAULT_K
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.M < 2 * self.k + 2:
-            raise ValueError(f"need M >= 2k + 2, got M={self.M}, k={self.k}")
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.M + 1)
-
-    @property
-    def s(self) -> np.ndarray:
-        """Interior nodes s_1 .. s_M."""
-        return np.arange(1, self.M + 1) / (self.M + 1)
 
 
 def zeta(j: int) -> float:
@@ -124,9 +103,10 @@ def _weight_table(l: int, k: int) -> np.ndarray:
     return table
 
 
-def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
-    """a*Delta2 + b*Delta1 + diag(c) on the interior nodes, with a, b and c
-    per row (length-M arrays or scalars), as its band (`linalg`, p = 2k - 1).
+def operator(M: int, k: int, a, b, c) -> np.ndarray:
+    """a*Delta2 + b*Delta1 + diag(c) on the M interior nodes s_i = i h,
+    h = 1/(M+1), over stencils of half-width k, with a, b and c per row
+    (length-M arrays or scalars), as its band (`linalg`, p = 2k - 1).
 
     Delta1 and Delta2 are the maximally consistent first- and
     second-derivative stencils over 2k+1 grid points. Row s_i uses the
@@ -136,7 +116,7 @@ def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     s_i sits in its window, so 2k-1 weight pairs serve all M rows: k-1 per
     wall and the centered one, computed once per (order, k) and shared.
     """
-    M, k, h, p = cfg.M, cfg.k, cfg.h, 2 * cfg.k - 1
+    h, p = 1.0 / (M + 1), 2 * k - 1
     i = np.arange(M)  # row i holds s_{i+1}
     start = np.clip(i + 1 - k, 0, M + 1 - 2 * k)
     window = np.arange(2 * k + 1)
@@ -154,34 +134,41 @@ def operator(cfg: HofdConfig, a, b, c) -> np.ndarray:
     return band
 
 
-def hyperbolic_operator(p: HyperbolicParams, cfg: HofdConfig,
+def hyperbolic_operator(p: HyperbolicParams, M: int, k: int,
                         j: int) -> tuple[np.ndarray, np.ndarray]:
     """Compactified wave operator for the hyperbolic family at eigenvalue
     index j, and the potential it samples at x = tan(pi s / 2) / zeta."""
     z = zeta(j)
-    half = math.pi * cfg.s / 2.0
+    s = np.arange(1, M + 1) / (M + 1)  # interior nodes s_1 .. s_M
+    half = math.pi * s / 2.0
     cos_half = np.cos(half)
     v = eval_hyperbolic(p, np.tan(half) / z)
     a = -(2.0 * z**2 / math.pi**2) * cos_half**4
     b = (2.0 * z**2 / math.pi) * cos_half**3 * np.sin(half)
-    return operator(cfg, a, b, v), v
+    return operator(M, k, a, b, v), v
 
 
-def box_operator(p: TrigParams, cfg: HofdConfig) -> tuple[np.ndarray, np.ndarray]:
+def box_operator(p: TrigParams, M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled wave operator for the trigonometric family on (0, 1), and
     the potential it samples at x = a s."""
-    v = eval_trig(p, p.a * cfg.s)
+    s = np.arange(1, M + 1) / (M + 1)  # interior nodes s_1 .. s_M
+    v = eval_trig(p, p.a * s)
     # -Delta2 divided by 2a^2: scaling by -1/(2a^2) would round differently;
     # 2a^2 may underflow to 0, and the solver rejects the inf and nan it gives
     with np.errstate(divide="ignore", invalid="ignore"):
-        op = operator(cfg, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
-    op[:, 2 * cfg.k - 1] += v  # the diagonal
+        op = operator(M, k, -1.0, 0.0, 0.0) / (2.0 * p.a**2)
+    op[:, 2 * k - 1] += v  # the diagonal
     return op, v
 
 
-def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = None,
-                  count: int = 3) -> SpectrumResult:
-    """Lowest `count` eigenvalues via the finite-difference operator.
+def hofd_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
+                  k: int = DEFAULT_K, count: int | None = None) -> SpectrumResult:
+    """The `count` lowest levels of p's family, ascending, with the largest
+    eigen-residual among them, on M interior nodes (DEFAULT_M if None) with
+    stencil half-width k; ValueError unless k >= 1 and M >= 2k + 2. These
+    are `dvr.solve_spectrum`'s arguments, k in place of b. With `count`
+    None the finite well keeps TRIG_LEVELS levels, as in DVR, and the
+    hyperbolic family at most TRIG_LEVELS below the asymptote.
 
     For the hyperbolic family the operator is rebuilt per index j with the
     retuned zeta(j) and the j-th smallest near-real eigenvalue is taken,
@@ -194,14 +181,19 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
     j - 1 and the asymptote, given the levels found so far: a bound level
     j lies nearer that shift than every level below it.
     """
-    cfg = cfg or HofdConfig()
+    M = DEFAULT_M if M is None else M
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if M < 2 * k + 2:
+        raise ValueError(f"need M >= 2k + 2, got M={M}, k={k}")
+    count = TRIG_LEVELS if count is None else count
     if count < 0:
         raise ValueError("count must be >= 0")
     eigenvalues: list[float] = []
     max_resid = 0.0
     if isinstance(p, HyperbolicParams):
         for j in range(1, count + 1):
-            op, v = hyperbolic_operator(p, cfg, j)
+            op, v = hyperbolic_operator(p, M, k, j)
             sigma = ((eigenvalues[-1] + ASYMPTOTE) / 2.0 if eigenvalues
                      else float(v.min()) - 1.0)
             real, resid = linalg.eig_shift_invert(op, sigma, j, eigenvalues)
@@ -211,8 +203,8 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, cfg: HofdConfig | None = Non
             max_resid = max(max_resid, resid)
             eigenvalues.append(lam)
     else:
-        op, v = box_operator(p, cfg)
+        op, v = box_operator(p, M, k)
         real, max_resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, count)
         eigenvalues = [float(x) for x in real]
     return SpectrumResult(eigenvalues=tuple(eigenvalues),
-                          config={"M": cfg.M, "k": cfg.k}, max_residual=max_resid)
+                          config={"M": M, "k": k}, max_residual=max_resid)

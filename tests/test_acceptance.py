@@ -69,8 +69,7 @@ def test_criterion_3_table2():
 
 
 def test_criterion_4_free_box():
-    cfg = hofd.HofdConfig(M=300, k=4)
-    op = hofd.operator(cfg, -0.5, 0.0, 0.0)  # V = 0, a = 1
+    op = hofd.operator(300, 4, -0.5, 0.0, 0.0)  # V = 0, a = 1
     w, _ = eig_general(dense(op))
     levels = near_real_sorted(w)[:5]
     worst = 0.0

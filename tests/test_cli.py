@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from ptbound import cli, dvr
+from ptbound import cli, dvr, hofd, linalg, reference
 
 
 def run(capsys, *argv):
@@ -34,6 +35,8 @@ def parse_csv(text):
 
 S1_FLAGS = ["--family", "hyperbolic", "--V0", "10", "--A", "-20",
             "--B", "-30", "--kappa", "1"]
+S2_FLAGS = ["--family", "hyperbolic", "--V0", "5", "--A", "2",
+            "--B", "-60", "--kappa", "1"]
 S3_FLAGS = ["--family", "trig", "--V0", "5", "--C", "-10", "--D", "2",
             "--a", "1"]
 S4_FLAGS = ["--family", "trig", "--V0", "5", "--C", "-2", "--D", "2",
@@ -426,9 +429,70 @@ def test_verify_tables(capsys):
     assert run(capsys, "verify", "polys")[0] == 2
 
 
+def test_verify_fails_missing_level(capsys, monkeypatch):
+    # levels were zipped with the table, so a solver that returned too few
+    # printed no row for the rest and still ended in ALL PASS
+    solve = hofd.hofd_spectrum
+
+    def truncated(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, eigenvalues=res.eigenvalues[:-1])
+
+    monkeypatch.setattr(hofd, "hofd_spectrum", truncated)
+    code, out, _ = run(capsys, "verify", "table1")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    sets = reference.TABLES["table1"][0]
+    assert len(failed) == len(sets)
+    for name, line in zip(sets, failed):
+        assert line.startswith(f"[FAIL] table1 {name} HOFD n=2: measured=nan ")
+    assert out.endswith("verify: FAILURES PRESENT\n")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_usage_error(capsys, tmp_path, where):
+    # an --out that cannot be opened once ended in a traceback with exit 1,
+    # the code of a verification failure
+    path = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "spd", "--V0", "10", "--A-min", "-5",
+                         "--A-max", "5", "--B-min", "-5", "--B-max", "5",
+                         "--resolution", "3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err
+
+
+DVR_S1, DVR_S3, HOFD = ("eigh", 199), ("eigh", 299), ("shift", 500)
+
+
+@pytest.mark.parametrize("flags, method, want", [
+    (S1_FLAGS, "dvr", [DVR_S1]),
+    # with no --count, HOFD keeps as many levels as a default DVR solve finds
+    (S1_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3),
+    (S1_FLAGS, "both", [DVR_S1] + [HOFD] * 3),
+    (S2_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3),
+    (S3_FLAGS, "dvr", [DVR_S3]),
+    # the finite well's default count is HOFD's own: no DVR solve
+    (S3_FLAGS, "hofd", [HOFD]),
+    (S3_FLAGS, "both", [DVR_S3, HOFD])],
+    ids=["S1-dvr", "S1-hofd", "S1-both", "S2-hofd", "S3-dvr", "S3-hofd",
+         "S3-both"])
+def test_spectrum_solver_census(capsys, monkeypatch, flags, method, want):
+    # one record (solver, matrix order) per eigensolve
+    calls = []
+    for name, tag in (("eig_symmetric", "eigh"), ("eig_shift_invert", "shift")):
+        def counted(a, *args, _solve=getattr(linalg, name), _tag=tag, **kwargs):
+            calls.append((_tag, a.shape[0]))
+            return _solve(a, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    code, _, _ = run(capsys, "spectrum", *flags, "--method", method)
+    assert code == 0 and calls == want
+
+
 # sha256 of the header and data rows (manifest lines dropped): a new digest
 # means printed numbers changed. These rows print the same at one and two
-# BLAS threads; the 12-digit hyperbolic rows do not, so they are not pinned.
+# BLAS threads. Some 12-digit hyperbolic rows do not, so of those only S2's
+# HOFD column is pinned.
 PINNED_BODIES = {
     "spd": (["spd", "--V0", "10", "--A-min", "-60", "--A-max", "40",
              "--B-min", "-60", "--B-max", "40", "--resolution", "200"],
@@ -442,6 +506,16 @@ PINNED_BODIES = {
            "39e963cef2890995cba65fab0df2ab2cae1d11b9f676911d686fc83884ef8627"),
     "S4": (["spectrum", *S4_FLAGS, "--method", "both"],
            "07abb644b3ae255a2f5db027af3bf38d456e6351731912180cc7464d9e9fb184"),
+    "S4-hofd-M250-k3": (["spectrum", *S4_FLAGS, "--method", "hofd",
+                         "--grid-M", "250", "--stencil-k", "3"],
+                        "10af9514548f6b33518320e07417a93643a503cd7d64997ffc7858e1b372866d"),
+    # HOFD's own finite-well count default
+    "S3-hofd": (["spectrum", *S3_FLAGS, "--method", "hofd"],
+                "7100b16af873de49e01975d3e17bc6442a0316ef5aead5be88c1223367b7a0a5"),
+    # HOFD's level count from a default DVR solve; these 12-digit rows
+    # print the same at one and two BLAS threads
+    "S2-hofd": (["spectrum", *S2_FLAGS, "--method", "hofd"],
+                "d5d97bacd8653f4bebeaaac821f54a13ae0bafe7ef7b920c478c5faa3cd1b6ca"),
     "wavefunction-S3": (["wavefunction", *S3_FLAGS, "--states", "0", "1", "2"],
                         "319857bf4a07b415128a7985d514190b716c12dc12bf051f0e2f31d7633f86b0"),
     "wavefunction-S4": (["wavefunction", *S4_FLAGS, "--states", "0", "1", "2"],

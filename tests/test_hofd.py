@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import count_shifted_solves, dense, eig_general, near_real_sorted
 
-from ptbound import hofd, linalg, reference
+from ptbound import dvr, hofd, linalg, reference
 from ptbound.potentials import HyperbolicParams, TrigParams
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
@@ -16,14 +17,20 @@ S3 = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.0)
 S4 = TrigParams(V0=5.0, C=-2.0, D=2.0, a=1.0)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        hofd.HofdConfig(M=5, k=4)
-    with pytest.raises(ValueError):
-        hofd.HofdConfig(M=100, k=0)
-    cfg = hofd.HofdConfig(M=9, k=2)
-    assert cfg.h == 0.1
-    assert np.allclose(cfg.s, np.arange(1, 10) / 10.0)
+def test_hofd_spectrum_arguments():
+    # --grid-M and --stencil-k reach these checks unvalidated; the count
+    # default is DVR's for the finite well
+    for M, k, message in [(5, 4, "need M >= 2k + 2, got M=5, k=4"),
+                          (9, 4, "need M >= 2k + 2, got M=9, k=4"),
+                          (100, 0, "k must be >= 1, got 0"),
+                          (100, -1, "k must be >= 1, got -1")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hofd.hofd_spectrum(S3, M, k)
+    got = hofd.hofd_spectrum(S3)
+    want = hofd.hofd_spectrum(S3, count=dvr.TRIG_LEVELS)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert len(got.eigenvalues) == dvr.TRIG_LEVELS
+    assert got.config == {"M": hofd.DEFAULT_M, "k": hofd.DEFAULT_K}
 
 
 def test_zeta_rule():
@@ -86,21 +93,20 @@ def test_fd_weights_exact():
 
 
 def test_delta_matrices_k1_tridiagonal():
-    cfg = hofd.HofdConfig(M=6, k=1)
-    d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
+    d2 = dense(hofd.operator(6, 1, 1.0, 0.0, 0.0))
     lap = (np.diag([-2.0] * 6) + np.diag([1.0] * 5, 1)
-           + np.diag([1.0] * 5, -1)) / cfg.h**2
+           + np.diag([1.0] * 5, -1)) / (1.0 / 7) ** 2
     assert np.abs(d2 - lap).max() == 0.0
 
 
 def test_delta_matrices_moment_conditions():
-    cfg = hofd.HofdConfig(M=40, k=3)
-    d1 = dense(hofd.operator(cfg, 0.0, 1.0, 0.0))
-    d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
-    s = cfg.s
+    M, k = 40, 3
+    d1 = dense(hofd.operator(M, k, 0.0, 1.0, 0.0))
+    d2 = dense(hofd.operator(M, k, 1.0, 0.0, 0.0))
+    s = np.arange(1, M + 1) / (M + 1)
     # rows whose stencil window avoids the Dirichlet endpoints see the full
     # moment conditions: Delta1 kills constants, Delta2 on s^2 gives 2
-    inner = slice(cfg.k, cfg.M - cfg.k)
+    inner = slice(k, M - k)
     assert np.abs((d1 @ np.ones_like(s))[inner]).max() <= 1e-9
     assert np.abs((d2 @ s**2)[inner] - 2.0).max() <= 1e-8
 
@@ -111,24 +117,21 @@ def test_consistency_order():
     k = 2
     errs = []
     for m in (64, 128, 256):
-        cfg = hofd.HofdConfig(M=m, k=k)
-        d2 = dense(hofd.operator(cfg, 1.0, 0.0, 0.0))
-        f = np.sin(math.pi * cfg.s)
+        d2 = dense(hofd.operator(m, k, 1.0, 0.0, 0.0))
+        f = np.sin(math.pi * (np.arange(1, m + 1) / (m + 1)))
         errs.append(np.abs(d2 @ f + math.pi**2 * f).max())
     for e0, e1 in zip(errs, errs[1:]):
         assert math.log2(e0 / e1) >= 2 * k - 1.25
 
 
 def test_hyperbolic_operator_nonsymmetric():
-    cfg = hofd.HofdConfig(M=50, k=2)
-    j = dense(hofd.hyperbolic_operator(S1, cfg, 1)[0])
+    j = dense(hofd.hyperbolic_operator(S1, 50, 2, 1)[0])
     assert np.abs(j - j.T).max() > 0.0
 
 
 def test_free_box_levels():
     p = TrigParams(V0=1e-30, C=0.0, D=1e-30, a=1.0)  # numerically V = 0
-    cfg = hofd.HofdConfig(M=300, k=4)
-    res = hofd.hofd_spectrum(p, cfg, count=5)
+    res = hofd.hofd_spectrum(p, M=300, k=4, count=5)
     for n, e in enumerate(res.eigenvalues, start=1):
         exact = n**2 * math.pi**2 / 2.0
         assert abs(e - exact) <= 1e-6 * exact
@@ -147,7 +150,7 @@ def test_hofd_wide_stencil_matches_reference(name, k):
     # wide stencils resolve the levels as well as the default k = 4 does
     expect = reference.HYPERBOLIC_REFERENCE[name]["DVR"]
     p = reference.HYPERBOLIC_SETS[name]
-    res = hofd.hofd_spectrum(p, hofd.HofdConfig(M=500, k=k), count=len(expect))
+    res = hofd.hofd_spectrum(p, M=500, k=k, count=len(expect))
     assert len(res.eigenvalues) == len(expect)
     for got, ref in zip(res.eigenvalues, expect):
         assert abs(got - ref) <= 1e-8
@@ -164,9 +167,9 @@ def test_near_real_filter():
     assert np.allclose(real, [1.0, 3.0])
 
 
-def _delta_matrices_by_row(cfg):
+def _delta_matrices_by_row(M, k):
     """Reference build: one pair of weight solves per row."""
-    M, k, h = cfg.M, cfg.k, cfg.h
+    h = 1.0 / (M + 1)
     d1 = np.zeros((M, M))
     d2 = np.zeros((M, M))
     t = M - 2 * k + 1
@@ -192,14 +195,13 @@ def _delta_matrices_by_row(cfg):
 def test_delta_matrices_match_row_by_row(M, k):
     # the operator is a*D2 + b*D1 + diag(c) over the reference matrices,
     # bitwise, signed zeros included; the box operator is -D2/(2a^2) + diag(V)
-    cfg = hofd.HofdConfig(M=M, k=k)
-    d1, d2 = _delta_matrices_by_row(cfg)
+    d1, d2 = _delta_matrices_by_row(M, k)
     a, b, c = np.random.default_rng(100 * M + k).uniform(-5.0, 5.0, (3, M))
     want = a[:, None] * d2 + b[:, None] * d1 + np.diag(c)
     for _ in range(2):  # a second build reads the shared weight tables
-        assert dense(hofd.operator(cfg, a, b, c)).tobytes() == want.tobytes()
+        assert dense(hofd.operator(M, k, a, b, c)).tobytes() == want.tobytes()
     p = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.037)
-    op, v = hofd.box_operator(p, cfg)
+    op, v = hofd.box_operator(p, M, k)
     assert dense(op).tobytes() == (-d2 / (2.0 * p.a**2) + np.diag(v)).tobytes()
 
 
@@ -213,12 +215,13 @@ def test_weight_tables_shared_read_only():
             table[0, 0] = 1.0
 
 
-def _dense_levels(p, cfg, count):
+def _dense_levels(p, M, count):
     """The j-th smallest near-real eigenvalue of the dense spectrum of the
     zeta(j) operator, j = 1..count, up to the first continuum artifact."""
     levels = []
     for j in range(1, count + 1):
-        w, _ = eig_general(dense(hofd.hyperbolic_operator(p, cfg, j)[0]))
+        op, _ = hofd.hyperbolic_operator(p, M, hofd.DEFAULT_K, j)
+        w, _ = eig_general(dense(op))
         lam = near_real_sorted(w)[j - 1]
         if lam >= 0.0:
             break
@@ -227,9 +230,8 @@ def _dense_levels(p, cfg, count):
 
 
 def _assert_matches_dense(p, M, count):
-    cfg = hofd.HofdConfig(M=M)
-    got = hofd.hofd_spectrum(p, cfg, count=count).eigenvalues
-    ref = _dense_levels(p, cfg, count)
+    got = hofd.hofd_spectrum(p, M, count=count).eigenvalues
+    ref = _dense_levels(p, M, count)
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert abs(g - r) <= 1e-10 * max(1.0, abs(r))
@@ -256,9 +258,8 @@ def test_hyperbolic_levels_match_dense_eig_random_sets():
 @pytest.mark.parametrize("p", [S3, S4], ids=["S3", "S4"])
 def test_finite_well_levels_match_dense_eig(p, M):
     # the operator's own conditioning limits agreement to about 1e-6
-    cfg = hofd.HofdConfig(M=M)
-    got = hofd.hofd_spectrum(p, cfg, count=10).eigenvalues
-    w, _ = eig_general(dense(hofd.box_operator(p, cfg)[0]))
+    got = hofd.hofd_spectrum(p, M, count=10).eigenvalues
+    w, _ = eig_general(dense(hofd.box_operator(p, M, hofd.DEFAULT_K)[0]))
     ref = near_real_sorted(w)[:10]
     assert len(got) == 10
     for g, r in zip(got, ref):
@@ -280,7 +281,7 @@ def test_hyperbolic_shift_per_level(p, monkeypatch):
         return solve(a, sigma, count, found)
 
     monkeypatch.setattr(linalg, "eig_shift_invert", recorded)
-    levels = hofd.hofd_spectrum(p, hofd.HofdConfig(M=60), count=10).eigenvalues
+    levels = hofd.hofd_spectrum(p, M=60, count=10).eigenvalues
     assert len(calls) >= 2  # the bound levels and the first continuum probe
     sigma, count, w, found = calls[0]
     assert count == 1 and not found and sigma < w.real.min()
@@ -301,7 +302,7 @@ def test_shift_below_spectrum(p, monkeypatch):
         return solve(a, sigma, count)
 
     monkeypatch.setattr(linalg, "eig_shift_invert", recorded)
-    hofd.hofd_spectrum(p, hofd.HofdConfig(M=60), count=3)
+    hofd.hofd_spectrum(p, M=60, count=3)
     assert shifts
     assert all(sigma < lowest for sigma, lowest in shifts)
 
@@ -315,6 +316,6 @@ def test_krylov_vectors_per_level(M, count, bound, monkeypatch):
     # from the midpoint of the level below and the asymptote, the last
     # solve of each call stays within `bound`
     solves = count_shifted_solves(monkeypatch)
-    levels = hofd.hofd_spectrum(S1, hofd.HofdConfig(M=M), count=count).eigenvalues
+    levels = hofd.hofd_spectrum(S1, M, count=count).eigenvalues
     assert len(levels) == 3 and len(solves) == min(count, 4)
     assert solves[-1] <= bound

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ptbound import dvr, hofd, reference
-from ptbound.hofd import HofdConfig
 from ptbound.potentials import HyperbolicParams
 
 # lambda = 4 (A = kappa^2 lambda(lambda-1)/2), nu = 10 (B = -kappa^2 nu(nu+1)/2)
@@ -61,8 +60,7 @@ def test_hyperbolic_limit_error_shrinks(method, ladder):
     worst = []
     for M in ladder:
         got = (dvr.solve_spectrum(LIMIT_HYP, M) if method == "dvr"
-               else hofd.hofd_spectrum(LIMIT_HYP, HofdConfig(M=M),
-                                       count=len(exact))).eigenvalues
+               else hofd.hofd_spectrum(LIMIT_HYP, M, count=len(exact))).eigenvalues
         worst.append(_worst(got, exact))
     assert all(fine <= coarse / 10.0 for coarse, fine in zip(worst, worst[1:]))
 

@@ -237,10 +237,9 @@ def test_half_bandwidth_of_hofd_operator(k):
     # the one-sided wall stencils over 2k + 1 points reach p = 2k - 1
     # columns past the diagonal once the Dirichlet end column is cut; the
     # band is exactly that wide, which keeps the block factorization bitwise
-    cfg = hofd.HofdConfig(M=60, k=k)
-    for op in (hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], cfg, 1)[0],
-               hofd.box_operator(reference.TRIG_SETS["S3"], cfg)[0]):
-        assert op.shape == (cfg.M, 2 * (2 * k - 1) + 1)
+    for op in (hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], 60, k, 1)[0],
+               hofd.box_operator(reference.TRIG_SETS["S3"], 60, k)[0]):
+        assert op.shape == (60, 2 * (2 * k - 1) + 1)
         assert np.any(op[:, 0] != 0.0) and np.any(op[:, -1] != 0.0)
 
 
@@ -265,11 +264,11 @@ def test_eig_shift_invert_tridiagonal_toeplitz():
 
 
 def _hofd_cases(M):
-    cfg = hofd.HofdConfig(M=M)
+    k = hofd.DEFAULT_K
     for j in (1, 2, 3):
-        op, v = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], cfg, j)
+        op, v = hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], M, k, j)
         yield op, float(v.min()) - 1.0, j
-    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], cfg)
+    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], M, k)
     yield op, float(v.min()) - 1.0, 10
 
 
@@ -296,7 +295,7 @@ def test_eig_shift_invert_stops_on_residual_estimate(monkeypatch):
 def test_eig_shift_invert_residual_of_banded_product(monkeypatch):
     # the contract gets a x from 2p + 1 shifted multiply-adds over the band;
     # it must be the dense product, wall rows included
-    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], hofd.HofdConfig(M=200))
+    op, v = hofd.box_operator(reference.TRIG_SETS["S3"], 200, hofd.DEFAULT_K)
     seen = []
     contract = linalg._residual
 
