@@ -2,7 +2,10 @@
 
 Artifacts are CSV (manifest as leading `# key=value` lines, then a header
 row) or a JSON mirror. Bodies are deterministic; the timestamp lives only
-in the manifest; `_cells` formats every number cell, a column at a time.
+in the manifest; `_cells` formats the number cells of an axis or column in
+one pass. A command hands `_emit` its body as blocks of CSV lines, which the
+CSV path writes as they come (`spd` one block per grid row, so no table-sized
+list is built) and the JSON path splits back into cells.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 computation
 failure. The parser is built once per process, which only a caller that runs
 `main` more than once in one process gains from (the tests, the benchmark);
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import re
 import sys
@@ -44,27 +48,34 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _emit(manifest: dict, columns: list[str], rows: list,
-          fmt: str, out_path: str | None) -> None:
+def _block(*columns) -> str:
+    """The CSV lines of a table given column by column, one block."""
+    return "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
+def _emit(manifest: dict, columns: list[str], blocks, fmt: str,
+          out_path: str | None) -> None:
+    """Write the artifact. `blocks` yields strings of whole CSV lines, each
+    ending in a newline. CSV writes each block as it comes; JSON splits the
+    lines into cells (no cell holds a comma) and writes one payload."""
     if fmt == "json":
+        rows = [line.split(",") for block in blocks for line in block.splitlines()]
         # grids repeat their axis texts, so parse each distinct cell once
         coerced = {v: _coerce(v) for v in set().union(*rows)}
         payload = {"manifest": manifest, "columns": columns,
                    "rows": [[coerced[v] for v in row] for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        pieces = [json.dumps(payload, indent=2) + "\n"]
     else:
-        lines = [f"# {k}={v}" for k, v in manifest.items()]
-        lines.append(",".join(columns))
-        lines.extend(map(",".join, rows))
-        text = "\n".join(lines) + "\n"
+        head = "".join(f"# {k}={v}\n" for k, v in manifest.items())
+        pieces = itertools.chain([head + ",".join(columns) + "\n"], blocks)
     if out_path:
         try:
             with open(out_path, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:  # a path the user gave: a usage error
             raise ValueError(f"--out: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _coerce(v: str):
@@ -145,8 +156,8 @@ def cmd_spectrum(args, parser) -> int:
         raise SolverError("no bound level found (a wide well may need a "
                           "larger --box-b)")
     columns = ["n"] + [f"E_{m.lower()}" for m in methods]
-    rows = list(zip(map(str, range(n_rows)),
-                    *(_cells(results[m].eigenvalues, digits) for m in methods)))
+    table = _block(map(str, range(n_rows)),
+                   *(_cells(results[m].eigenvalues, digits) for m in methods))
     manifest = {"command": "spectrum", "family": args.family,
                 "params": _param_echo(p), "method": args.method,
                 "units": "atomic (hbar = m = 1)",
@@ -154,7 +165,7 @@ def cmd_spectrum(args, parser) -> int:
     for m in methods:
         manifest[f"{m.lower()}_config"] = json.dumps(results[m].config)
         manifest[f"{m.lower()}_max_residual"] = f"{results[m].max_residual:.3e}"
-    _emit(manifest, columns, rows, args.format, args.out)
+    _emit(manifest, columns, [table], args.format, args.out)
     return EXIT_OK
 
 
@@ -189,8 +200,8 @@ def cmd_wavefunction(args, parser) -> int:
     psi = {m: tra.eval_wavefunction(sol, p, x)[1] for m, sol in solutions.items()}
     digits = DIGITS[args.family]
     columns = [abscissa] + [f"psi_{m}" for m in states]
-    rows = list(zip(_cells(scale * x, digits),
-                    *(_cells(psi[m], digits) for m in states)))
+    table = _block(_cells(scale * x, digits),
+                   *(_cells(psi[m], digits) for m in states))
     manifest = {"command": "wavefunction", "family": args.family,
                 "params": _param_echo(p),
                 "units": "atomic (hbar = m = 1)",
@@ -200,7 +211,7 @@ def cmd_wavefunction(args, parser) -> int:
             "E": sol.energy, "mu": sol.mu, "nu": sol.nu,
             "N": len(sol.coeffs) - 1, "branch": sol.branch and sol.branch.value,
             "coeffs": list(sol.coeffs), "nodes": tra.count_nodes(psi[m])})
-    _emit(manifest, columns, rows, args.format, args.out)
+    _emit(manifest, columns, [table], args.format, args.out)
     return EXIT_OK
 
 
@@ -208,16 +219,21 @@ def cmd_spd(args, parser) -> int:
     a_vals, b_vals, phases, rect = spd_grid(
         args.V0, args.kappa, (args.A_min, args.A_max),
         (args.B_min, args.B_max), args.resolution)
-    columns = ["A", "B", "phase"]
-    a_text, b_text = _cells(a_vals, 12), _cells(b_vals, 12)
-    # `_value_` is a plain attribute, `.value` a property call per cell
-    rows = list(zip(a_text * len(b_text), [b for b in b_text for _ in a_text],
-                    [phase._value_ for phase in phases.ravel().tolist()]))
+    a_text = _cells(a_vals, 12)
+
+    def row_blocks():
+        # one block per B row; `_value_` is a plain attribute, `.value` a
+        # property call per cell
+        for b, row in zip(_cells(b_vals, 12), phases):
+            mid = f",{b},"
+            yield "".join([f"{a}{mid}{phase._value_}\n"
+                           for a, phase in zip(a_text, row.tolist())])
+
     manifest = {"command": "spd", "V0": args.V0, "kappa": args.kappa,
                 "rectangle_B_max": rect["B_max"], "rectangle_A_max": rect["A_max"],
                 "units": "atomic (hbar = m = 1)",
                 "generated": _timestamp()}
-    _emit(manifest, columns, rows, args.format, args.out)
+    _emit(manifest, ["A", "B", "phase"], row_blocks(), args.format, args.out)
     return EXIT_OK
 
 
@@ -317,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except PtboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:  # a grid too large for this machine
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

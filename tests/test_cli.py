@@ -1,11 +1,14 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +226,22 @@ def test_wavefunction_deep_well_stops():
     assert proc.stderr.startswith("error: series coefficient f_18 ")
 
 
+def test_spd_out_of_memory_is_one_error_line():
+    # a 20000 x 20000 grid needs 3 GB per float array; under the cap numpy's
+    # MemoryError once ended in a traceback with exit 1, the code of a
+    # verification failure
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptbound.cli", "spd", "--V0", "10",
+         "--A-min", "-5", "--A-max", "5", "--B-min", "-5", "--B-max", "5",
+         "--resolution", "20000"],
+        capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: out of memory")
+
+
 def test_spectrum_usage_error(capsys):
     code, _, _ = run(capsys, "spectrum", "--family", "hyperbolic",
                      "--V0", "10")  # missing A, B
@@ -253,6 +272,40 @@ def test_spectrum_json_and_out_file(capsys, tmp_path):
     payload = json.loads(path.read_text())
     assert payload["columns"] == ["n", "E_dvr"]
     assert payload["rows"][0][1] == pytest.approx(29.961374, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20", "--B-min", "-30",
+     "--B-max", "10", "--resolution", "5"],
+    ["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20", "--B-min", "-30",
+     "--B-max", "10", "--resolution", "5", "--format", "json"],
+    ["spectrum", *S3_FLAGS, "--method", "both"]],
+    ids=["spd-csv", "spd-json", "spectrum-S3"])
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "artifact"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out == ""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert without_timestamp(path.read_text()) == without_timestamp(out)
+
+
+def test_spd_memory_scales_with_body():
+    # the table is written a B row at a time; building every row, joined
+    # line and the whole text first once held 6.5 times the body
+    argv = ["spd", "--V0", "10", "--A-min", "-60", "--A-max", "40",
+            "--B-min", "-60", "--B-max", "40", "--resolution", "300"]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body_len = len(out.getvalue())
+    assert code == 0
+    assert peak <= 3 * body_len, (peak, body_len)
 
 
 def test_wavefunction_metadata_and_columns(capsys):
