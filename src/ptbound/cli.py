@@ -2,23 +2,28 @@
 
 Artifacts are CSV (manifest as leading `# key=value` lines, then a header
 row) or a JSON mirror. Bodies are deterministic; the timestamp lives only
-in the manifest; `_cells` formats the number cells of an axis or column in
-one pass. A command hands `_emit` its body as blocks of CSV lines, which the
-CSV path writes as they come (`spd` one block per grid row, so no table-sized
-list is built) and the JSON path splits back into cells.
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 computation
-failure. The parser is built once per process, which only a caller that runs
-`main` more than once in one process gains from (the tests, the benchmark);
-a shell run builds it once either way.
+in the manifest, whose `units`/`generated` tail `_manifest` adds; `_cells`
+formats the number cells of an axis or column in one pass. A command hands
+`_emit` its body as blocks of CSV lines, which the CSV path writes as they
+come (`spd` one block per grid row, so no table-sized list is built) and the
+JSON path splits back into cells. A family's flags are the fields of its
+parameter class in `FAMILIES`; the solvers check grid sizes and stencils.
+Exit codes: 0 success, 1 verification failure, 2 usage error (an output that
+cannot be written, on stdout or --out, included), 3 computation failure.
+The parser is built once per process, which only a caller that runs `main`
+more than once in one process gains from (the tests, the benchmark); a shell
+run builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import itertools
 import json
+import os
 import re
 import sys
 from itertools import zip_longest
@@ -34,6 +39,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
+FAMILIES = {"hyperbolic": HyperbolicParams, "trig": TrigParams}
 # significant digits per family, matching the published precision
 DIGITS = {"hyperbolic": 12, "trig": 6}
 
@@ -44,8 +50,10 @@ def _cells(values, digits: int) -> list[str]:
     return [fmt % x for x in np.asarray(values).tolist()]
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _manifest(**items) -> dict:
+    """A command's manifest items, then the units and the time of the run."""
+    return {**items, "units": "atomic (hbar = m = 1)",
+            "generated": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
 def _block(*columns) -> str:
@@ -69,11 +77,8 @@ def _emit(manifest: dict, columns: list[str], blocks, fmt: str,
         head = "".join(f"# {k}={v}\n" for k, v in manifest.items())
         pieces = itertools.chain([head + ",".join(columns) + "\n"], blocks)
     if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.writelines(pieces)
-        except OSError as exc:  # a path the user gave: a usage error
-            raise ValueError(f"--out: {exc}") from exc
+        with open(out_path, "w") as fh:
+            fh.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
 
@@ -89,7 +94,7 @@ def _coerce(v: str):
 
 
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=["hyperbolic", "trig"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--V0", type=float, required=True)
     p.add_argument("--A", type=float, help="hyperbolic family")
     p.add_argument("--B", type=float, help="hyperbolic family")
@@ -105,15 +110,16 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args, parser):
-    if args.family == "hyperbolic":
-        missing = [n for n in ("A", "B") if getattr(args, n) is None]
-        if missing:
-            parser.error(f"hyperbolic family requires --{' --'.join(missing)}")
-        return HyperbolicParams(V0=args.V0, A=args.A, B=args.B, kappa=args.kappa)
-    missing = [n for n in ("C", "D", "a") if getattr(args, n) is None]
+    cls = FAMILIES[args.family]
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+    missing = [n for n, v in values.items() if v is None]
     if missing:
-        parser.error(f"trig family requires --{' --'.join(missing)}")
-    return TrigParams(V0=args.V0, C=args.C, D=args.D, a=args.a)
+        parser.error(f"{args.family} family requires --{' --'.join(missing)}")
+    return cls(**values)
+
+
+def _param_echo(p) -> str:
+    return ";".join(f"{f.name}={getattr(p, f.name)}" for f in dataclasses.fields(p))
 
 
 def _spectra(args, p):
@@ -135,15 +141,8 @@ def _spectra(args, p):
     return results
 
 
-def _check_grid_M(args, parser) -> None:
-    # a grid size of 0 must not fall through to `grid_M or default`
-    if args.grid_M is not None and args.grid_M < 1:
-        parser.error(f"--grid-M must be >= 1, got {args.grid_M}")
-
-
 def cmd_spectrum(args, parser) -> int:
     p = _params_from_args(args, parser)
-    _check_grid_M(args, parser)
     results = _spectra(args, p)
     digits = DIGITS[args.family]
     methods = list(results)
@@ -158,10 +157,8 @@ def cmd_spectrum(args, parser) -> int:
     columns = ["n"] + [f"E_{m.lower()}" for m in methods]
     table = _block(map(str, range(n_rows)),
                    *(_cells(results[m].eigenvalues, digits) for m in methods))
-    manifest = {"command": "spectrum", "family": args.family,
-                "params": _param_echo(p), "method": args.method,
-                "units": "atomic (hbar = m = 1)",
-                "generated": _timestamp()}
+    manifest = _manifest(command="spectrum", family=args.family,
+                         params=_param_echo(p), method=args.method)
     for m in methods:
         manifest[f"{m.lower()}_config"] = json.dumps(results[m].config)
         manifest[f"{m.lower()}_max_residual"] = f"{results[m].max_residual:.3e}"
@@ -169,17 +166,10 @@ def cmd_spectrum(args, parser) -> int:
     return EXIT_OK
 
 
-def _param_echo(p) -> str:
-    if isinstance(p, HyperbolicParams):
-        return f"V0={p.V0};A={p.A};B={p.B};kappa={p.kappa}"
-    return f"V0={p.V0};C={p.C};D={p.D};a={p.a}"
-
-
 def cmd_wavefunction(args, parser) -> int:
     p = _params_from_args(args, parser)
     if args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
-    _check_grid_M(args, parser)
     if min(args.states) < 0:
         parser.error(f"--states must be >= 0, got {min(args.states)}")
     if isinstance(p, HyperbolicParams):
@@ -202,14 +192,12 @@ def cmd_wavefunction(args, parser) -> int:
     columns = [abscissa] + [f"psi_{m}" for m in states]
     table = _block(_cells(scale * x, digits),
                    *(_cells(psi[m], digits) for m in states))
-    manifest = {"command": "wavefunction", "family": args.family,
-                "params": _param_echo(p),
-                "units": "atomic (hbar = m = 1)",
-                "generated": _timestamp()}
+    manifest = _manifest(command="wavefunction", family=args.family,
+                         params=_param_echo(p))
     for m, sol in solutions.items():
         manifest[f"state_{m}"] = json.dumps({
             "E": sol.energy, "mu": sol.mu, "nu": sol.nu,
-            "N": len(sol.coeffs) - 1, "branch": sol.branch and sol.branch.value,
+            "N": len(sol.coeffs) - 1, "branch": sol.branch,
             "coeffs": list(sol.coeffs), "nodes": tra.count_nodes(psi[m])})
     _emit(manifest, columns, [table], args.format, args.out)
     return EXIT_OK
@@ -229,18 +217,19 @@ def cmd_spd(args, parser) -> int:
             yield "".join([f"{a}{mid}{phase._value_}\n"
                            for a, phase in zip(a_text, row.tolist())])
 
-    manifest = {"command": "spd", "V0": args.V0, "kappa": args.kappa,
-                "rectangle_B_max": rect["B_max"], "rectangle_A_max": rect["A_max"],
-                "units": "atomic (hbar = m = 1)",
-                "generated": _timestamp()}
+    manifest = _manifest(command="spd", V0=args.V0, kappa=args.kappa,
+                         rectangle_B_max=rect["B_max"],
+                         rectangle_A_max=rect["A_max"])
     _emit(manifest, ["A", "B", "phase"], row_blocks(), args.format, args.out)
     return EXIT_OK
 
 
-def _verify_tables(which: str, report: list) -> bool:
-    ok = True
+def cmd_verify(args, parser) -> int:
+    # every row is solved before the first is printed, so a solver error
+    # leaves stdout empty
+    lines, ok = [], True
     for table, (sets, spectra) in reference.TABLES.items():
-        if which not in (table, "all"):
+        if args.which not in (table, "all"):
             continue
         for name, p in sets.items():
             for method, exp in spectra[name].items():
@@ -251,17 +240,10 @@ def _verify_tables(which: str, report: list) -> bool:
                     tol = reference.tolerance(table, method, n)
                     passed = abs(g - e) <= tol
                     ok &= passed
-                    report.append((f"{table} {name} {method} n={n}", g, e,
-                                   tol, passed))
-    return ok
-
-
-def cmd_verify(args, parser) -> int:
-    report: list = []
-    ok = _verify_tables(args.which, report)
-    for name, got, exp, tol, passed in report:
-        tag = "PASS" if passed else "FAIL"
-        print(f"[{tag}] {name}: measured={got:.12g} expected={exp:.12g} tol={tol:g}")
+                    lines.append(f"[{'PASS' if passed else 'FAIL'}] {table} {name} "
+                                 f"{method} n={n}: measured={g:.12g} "
+                                 f"expected={e:.12g} tol={tol:g}\n")
+    sys.stdout.writelines(lines)
     print("verify: ALL PASS" if ok else "verify: FAILURES PRESENT")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
@@ -326,9 +308,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     handlers = {"spectrum": cmd_spectrum, "wavefunction": cmd_wavefunction,
                 "spd": cmd_spd, "verify": cmd_verify}
+    args = None
     try:
         args = parser.parse_args(argv)
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()  # so that a late write to stdout fails here too
+        return code
     except SystemExit as exc:  # --help, or parser.error in parsing or a handler
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except PtboundError as exc:
@@ -339,6 +324,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an output, a path the user gave or stdout, unwritable
+        out = getattr(args, "out", None)
+        print(f"error: {'--out' if out else 'stdout'}: {exc}", file=sys.stderr)
+        if not out:
+            # the interpreter flushes stdout again at exit: let that write
+            # go nowhere instead of failing a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

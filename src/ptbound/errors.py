@@ -9,18 +9,12 @@ class DomainError(PtboundError):
     """Coordinate outside the open domain of a potential."""
 
 
-class SingularParameterError(PtboundError):
-    """A recursion denominator or Gamma argument hit a pole."""
-
-
 class TraValidityError(PtboundError):
-    """Energy or potential parameters outside the series-solution window, or
-    a series that leaves the floating-point range where it is sampled."""
-
-
-class NonSymmetricError(PtboundError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
+    """Energy or potential parameters outside the series-solution window,
+    a pole of the series recursion, or a series that leaves the
+    floating-point range where it is sampled."""
 
 
 class SolverError(PtboundError):
-    """Eigensolver failed to converge or to extract requested values."""
+    """Eigensolver input that is not finite or not symmetric, or a solve
+    that failed to converge or to extract the requested values."""

@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonSymmetricError, SolverError
+from .errors import SolverError
 
 SYMMETRY_RTOL = 1e-12
 RESIDUAL_RTOL = 1e-10
@@ -62,7 +62,7 @@ def eig_symmetric(a: np.ndarray, count: int | None = None,
     a = np.asarray(a, dtype=float)
     norm = matrix_norm(a)
     if np.abs(a - a.T).max() > SYMMETRY_RTOL * max(norm, 1.0):
-        raise NonSymmetricError("matrix is not symmetric within tolerance")
+        raise SolverError("matrix is not symmetric within tolerance")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:

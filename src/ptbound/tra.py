@@ -18,29 +18,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import SingularParameterError, TraValidityError
+from .errors import TraValidityError
 from .potentials import HyperbolicParams, TrigParams
-
-
-class Branch(Enum):
-    TRIG = "trig"    # circular window of the paper's H_n (cos/sin)
-    HYPER = "hyper"  # hyperbolic window (cosh/sinh)
 
 
 @dataclass(frozen=True)
 class SeriesSolution:
     """One bound state: energy, basis parameters mu and nu, the paper's
-    branch label (None where no window applies) and the finite coefficient
-    list f_0 .. f_N."""
+    branch label ("trig", "hyper" or None, see `branch_window`) and the
+    finite coefficient list f_0 .. f_N."""
 
     energy: float
     mu: float
     nu: float
-    branch: Branch | None
+    branch: str | None
     coeffs: tuple[float, ...]
 
 
@@ -49,19 +43,21 @@ def strict_floor(x: float) -> int:
     return math.ceil(x) - 1
 
 
-def branch_window(p: HyperbolicParams | TrigParams) -> Branch | None:
-    """The paper's branch label for the parameters (which (z, theta)
-    window they fall in), or None. The series itself needs no window."""
+def branch_window(p: HyperbolicParams | TrigParams) -> str | None:
+    """The paper's branch label for the parameters, which (z, theta) window
+    they fall in: "trig" for the circular window of H_n (cos/sin), "hyper"
+    for the hyperbolic one (cosh/sinh), or None. The series itself needs no
+    window."""
     if isinstance(p, HyperbolicParams):
         if 0.0 < p.A < p.V0:
-            return Branch.TRIG
+            return "trig"
         if p.A < 0.0:
-            return Branch.HYPER
+            return "hyper"
         return None
     if -p.V0 < p.C < 0.0:
-        return Branch.TRIG
+        return "trig"
     if p.C < -p.V0:
-        return Branch.HYPER
+        return "hyper"
     return None
 
 
@@ -70,8 +66,8 @@ def _recursion_terms(n: int, mu: float, nu: float):
 
       y Q_n = a_n Q_n + b_n Q_{n-1} + c_n Q_{n+1}:
 
-    returns (a_n, b_{n+1}, c_n). SingularParameterError where a_n or c_n has
-    a pole; b_{n+1} is inf at its own pole mu + nu = -2n - 3, where c_{n+1}
+    returns (a_n, b_{n+1}, c_n). TraValidityError where a_n or c_n has a
+    pole (no series at those parameters); b_{n+1} is inf at its own pole mu + nu = -2n - 3, where c_{n+1}
     has one too, so only a caller that stops at row n meets it.
     """
     s = mu + nu
@@ -81,7 +77,7 @@ def _recursion_terms(n: int, mu: float, nu: float):
     den_b = (2 * n + s + 2) * (2 * n + s + 3)
     den_c = (2 * n + s + 1) * (2 * n + s + 2)
     if den_a == 0.0 or den_c == 0.0:
-        raise SingularParameterError(
+        raise TraValidityError(
             f"recursion denominator vanishes at n={n}, mu+nu={s}")
     b = 2.0 * (n + mu + 1) * (n + nu + 1) / den_b if den_b else math.inf
     return (nu**2 - mu**2) / den_a, b, 2.0 * (n + 1) * (n + s + 1) / den_c

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from ptbound import linalg
-from ptbound.errors import SingularParameterError
+from ptbound.errors import TraValidityError
 
 
 def _band_index(n, p):
@@ -95,12 +95,12 @@ def hyp_sum(n, mu, nu, y):
 
 def jacobi_q_norm(n, mu, nu):
     """Squared weighted L2 norm of Q_n on [1, inf), closed Gamma form;
-    SingularParameterError on a Gamma pole."""
+    TraValidityError on a Gamma pole."""
     try:
         num = (math.gamma(n + mu + 1) * math.gamma(n + nu + 1)
                * math.gamma(-n - mu - nu))
         den = math.gamma(n + 1) * math.gamma(-nu) * math.gamma(nu + 1)
     except ValueError as exc:
-        raise SingularParameterError(f"Gamma pole in norm formula: {exc}") from exc
+        raise TraValidityError(f"Gamma pole in norm formula: {exc}") from exc
     return ((-1.0) ** (n + 1) * 2.0 ** (mu + nu + 1)
             / (2 * n + mu + nu + 1) * num / den)

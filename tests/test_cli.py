@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -130,11 +131,14 @@ def test_negative_count_usage_error(capsys, flags, command):
     ["spectrum", "--method", "dvr"], ["spectrum", "--method", "hofd"],
     ["spectrum", "--method", "both"], ["wavefunction", "--states", "0"]])
 def test_grid_M_below_one_usage_error(capsys, command, grid_M):
-    # --grid-M 0 once ran the default grids and exited 0
+    # --grid-M 0 once ran the default grids and exited 0; the solver that
+    # first reads the grid size rejects it (DVR, but for --method hofd)
     code, out, err = run(capsys, command[0], *S1_FLAGS, *command[1:],
                          "--grid-M", grid_M)
+    want = ("need M >= 2k + 2," if command[-1] == "hofd"
+            else "need M >= 3 and finite b > 0,")
     assert code == 2
-    assert out == "" and "--grid-M must be >= 1" in err
+    assert out == "" and err.startswith(f"error: {want} got M={grid_M},")
 
 
 @pytest.mark.parametrize("flags", [
@@ -511,8 +515,116 @@ def test_unwritable_out_usage_error(capsys, tmp_path, where):
                          "--A-max", "5", "--B-min", "-5", "--B-max", "5",
                          "--resolution", "3", "--out", str(path))
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.splitlines()) == 1 and err.startswith("error: --out: ")
     assert str(path) in err
+
+
+SPD_300 = ["spd", "--V0", "10", "--A-min", "-5", "--A-max", "5",
+           "--B-min", "-5", "--B-max", "5", "--resolution", "300"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "limits"], SPD_300],
+                         ids=["verify", "spd"])
+def test_full_stdout_usage_error(argv):
+    # a stdout that cannot be written once ended in a traceback with exit 1,
+    # the code of a verification failure
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptbound.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: stdout: [Errno 28] ")
+
+
+def test_closed_pipe_usage_error():
+    # a reader that stops early, as `| head -c 20` does: the 3.5 MB table
+    # fills the pipe, and the writes after the close fail
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ptbound.cli", *SPD_300],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.read(20) == b"# command=spd\n# V0=1"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stdout: [Errno 32] ")
+
+
+@pytest.mark.parametrize("argv, family", [
+    (["spectrum", "--family", "hyperbolic", "--V0", "10"],
+     "hyperbolic family requires --A --B"),
+    (["spectrum", "--family", "trig", "--V0", "5", "--D", "2"],
+     "trig family requires --C --a"),
+    (["wavefunction", "--family", "trig", "--V0", "5", "--C", "-2", "--D", "2",
+      "--states", "0"], "trig family requires --a")],
+    ids=["hyperbolic", "trig", "trig-a"])
+def test_family_requires_message(capsys, argv, family):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"ptbound: error: {family}\n")
+
+
+def manifest_items(out):
+    """The manifest of a CSV artifact as (key, value) pairs, in order."""
+    return [tuple(line[2:].split("=", 1)) for line in out.splitlines()
+            if line.startswith("# ")]
+
+
+RESIDUAL = "<residual>"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["spectrum", *S1_FLAGS, "--method", "both"],
+     [("command", "spectrum"), ("family", "hyperbolic"),
+      ("params", "V0=10.0;A=-20.0;B=-30.0;kappa=1.0"), ("method", "both"),
+      ("units", "atomic (hbar = m = 1)"), ("generated", None),
+      ("dvr_config", '{"M": 200, "b": 10.0}'), ("dvr_max_residual", RESIDUAL),
+      ("hofd_config", '{"M": 500, "k": 4}'), ("hofd_max_residual", RESIDUAL)]),
+    (["spectrum", *S3_FLAGS, "--method", "both"],
+     [("command", "spectrum"), ("family", "trig"),
+      ("params", "V0=5.0;C=-10.0;D=2.0;a=1.0"), ("method", "both"),
+      ("units", "atomic (hbar = m = 1)"), ("generated", None),
+      ("dvr_config", '{"M": 300, "a": 1.0}'), ("dvr_max_residual", RESIDUAL),
+      ("hofd_config", '{"M": 500, "k": 4}'), ("hofd_max_residual", RESIDUAL)]),
+    (["wavefunction", *S3_FLAGS, "--states", "0", "2", "--samples", "5"],
+     [("command", "wavefunction"), ("family", "trig"),
+      ("params", "V0=5.0;C=-10.0;D=2.0;a=1.0"),
+      ("units", "atomic (hbar = m = 1)"), ("generated", None),
+      ("state_0", {"N": 0, "branch": "hyper", "nodes": 0}),
+      ("state_2", {"N": 3, "branch": "hyper", "nodes": 2})]),
+    (["spd", "--V0", "10", "--A-min", "-5", "--A-max", "5", "--B-min", "-5",
+      "--B-max", "5", "--resolution", "3"],
+     [("command", "spd"), ("V0", "10.0"), ("kappa", "1.0"),
+      ("rectangle_B_max", "0.125"), ("rectangle_A_max", "10.0"),
+      ("units", "atomic (hbar = m = 1)"), ("generated", None)])],
+    ids=["spectrum-S1", "spectrum-S3", "wavefunction-S3", "spd"])
+def test_manifest_pinned(capsys, argv, want):
+    # the key order and every value that prints the same on each run and at
+    # one and two BLAS threads: not the time (None), a residual's digits or
+    # a state's full-precision numbers (only the fields given are checked)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    got = manifest_items(out)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, value), (_, expect) in zip(got, want):
+        if expect == RESIDUAL:
+            assert re.fullmatch(r"\d\.\d{3}e-\d\d", value), (key, value)
+        elif isinstance(expect, dict):
+            state = json.loads(value)
+            assert {k: state[k] for k in expect} == expect, key
+        elif expect is not None:
+            assert value == expect, key
 
 
 DVR_S1, DVR_S3, HOFD = ("eigh", 199), ("eigh", 299), ("shift", 500)

@@ -3,7 +3,7 @@ import pytest
 from conftest import band, count_shifted_solves, dense, eig_general
 
 from ptbound import hofd, linalg, reference
-from ptbound.errors import NonSymmetricError, SolverError
+from ptbound.errors import SolverError
 
 
 def test_eig_symmetric_identity():
@@ -33,7 +33,7 @@ def test_eig_symmetric_trace_and_det():
 
 def test_eig_symmetric_rejects_nonsymmetric():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(NonSymmetricError):
+    with pytest.raises(SolverError, match="not symmetric"):
         linalg.eig_symmetric(a)
 
 

@@ -9,7 +9,6 @@ from conftest import pochhammer
 from ptbound import dvr, reference, tra
 from ptbound.errors import TraValidityError
 from ptbound.potentials import HyperbolicParams, TrigParams
-from ptbound.tra import Branch
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
 S2 = HyperbolicParams(V0=5.0, A=2.0, B=-60.0, kappa=1.0)
@@ -76,12 +75,12 @@ def test_trig_basis_validity():
 def test_series_params_hyperbolic_branches():
     # A = V0/2 sits mid-window: theta = pi/2, z^2 = 16 k^4 / V0^2
     p = HyperbolicParams(V0=10.0, A=5.0, B=0.0, kappa=1.0)
-    assert tra.branch_window(p) is Branch.TRIG
+    assert tra.branch_window(p) == "trig"
     z, theta = _paper_z_theta(p)
     assert theta == pytest.approx(math.pi / 2.0)
     assert z**2 == pytest.approx(16.0 / 100.0)
     for e in E1:  # A < 0
-        assert tra.assemble_solution(S1, e).branch is Branch.HYPER
+        assert tra.assemble_solution(S1, e).branch == "hyper"
     z, theta = _paper_z_theta(S1)
     assert math.cosh(theta) == pytest.approx(1 - 2 * S1.A / S1.V0, rel=1e-12)
     assert z**2 == pytest.approx(4.0 / (S1.A * (S1.A - S1.V0)), rel=1e-12)
@@ -89,12 +88,12 @@ def test_series_params_hyperbolic_branches():
 
 def test_series_params_trig_branches():
     for e in _levels(S3):  # C < -V0
-        assert tra.assemble_solution(S3, e).branch is Branch.HYPER
+        assert tra.assemble_solution(S3, e).branch == "hyper"
     z, theta = _paper_z_theta(S3)
     assert math.cosh(theta) == pytest.approx(3.0, rel=1e-12)
     assert z**2 == pytest.approx(4.0 * S3.rho**4 / 50.0, rel=1e-12)
     for e in _levels(S4):  # -V0 < C < 0
-        assert tra.assemble_solution(S4, e).branch is Branch.TRIG
+        assert tra.assemble_solution(S4, e).branch == "trig"
     _, theta = _paper_z_theta(S4)
     assert math.cos(theta) == pytest.approx(-0.2, rel=1e-12)
 
@@ -118,8 +117,8 @@ def test_series_params_boundaries():
 
 
 def test_branch_window():
-    assert tra.branch_window(S1) is Branch.HYPER
-    assert tra.branch_window(S2) is Branch.TRIG
+    assert tra.branch_window(S1) == "hyper"
+    assert tra.branch_window(S2) == "trig"
     assert tra.branch_window(HyperbolicParams(10.0, 0.0, 0.0, 1.0)) is None
 
 
@@ -237,7 +236,7 @@ def _paper_z_theta(p):
         ratio, scale4, prod = 1.0 - 2.0 * p.A / p.V0, p.kappa**4, p.A * (p.V0 - p.A)
     else:
         ratio, scale4, prod = -(2.0 * p.C / p.V0 + 1.0), p.rho**4, -p.C * (p.C + p.V0)
-    if tra.branch_window(p) is Branch.TRIG:
+    if tra.branch_window(p) == "trig":
         return math.sqrt(4.0 * scale4 / prod), math.acos(ratio)
     return math.sqrt(4.0 * scale4 / -prod), math.acosh(ratio)
 
@@ -247,7 +246,7 @@ def _paper_coefficients(p, sol):
     normalization, for parameters inside a window of `branch_window`."""
     mu, nu, n_top = sol.mu, sol.nu, len(sol.coeffs) - 1
     z, theta = _paper_z_theta(p)
-    if tra.branch_window(p) is Branch.TRIG:
+    if tra.branch_window(p) == "trig":
         cs, sn = math.cos(theta), -math.sin(theta)
     else:
         cs, sn = math.cosh(theta), -math.sinh(theta)
