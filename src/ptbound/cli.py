@@ -5,11 +5,15 @@ row) or a JSON mirror. Bodies are deterministic; the timestamp lives only
 in the manifest, whose `units`/`generated` tail `_manifest` adds; `_cells`
 formats the number cells of an axis or column in one pass. A command hands
 `_emit` its body as blocks of CSV lines, which the CSV path writes as they
-come (`spd` one block per grid row, so no table-sized list is built) and the
-JSON path splits back into cells. A family's flags are the fields of its
-parameter class in `FAMILIES`; the solvers check grid sizes and stencils.
+come and the JSON path splits back into cells. `spd` hands over one block
+per grid row, so no table-sized list is built; it reads the row's runs of
+equal labels off the grid's int8 phase codes and writes each run with one
+join. A family's flags are the fields of its parameter class in
+`FAMILIES`; the solvers check grid sizes and stencils (`spectrum` runs
+HOFD's check before the DVR solve that counts its levels).
 Exit codes: 0 success, 1 verification failure, 2 usage error (an output that
-cannot be written, on stdout or --out, included), 3 computation failure.
+cannot be written, on stdout or --out, --help's included), 3 computation
+failure.
 The parser is built once per process, which only a caller that runs `main`
 more than once in one process gains from (the tests, the benchmark); a shell
 run builds it once either way.
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import dvr, hofd, reference, tra
 from .errors import PtboundError, SolverError
-from .potentials import HyperbolicParams, TrigParams, spd_grid
+from .potentials import PHASES, HyperbolicParams, TrigParams, spd_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -133,8 +137,10 @@ def _spectra(args, p):
     if args.method in ("hofd", "both"):
         count = args.count
         if count is None and isinstance(p, HyperbolicParams):
-            # DVR alone runs on its default grid, since --grid-M sizes the
-            # HOFD grid here
+            # a grid HOFD cannot use fails before the count solve. DVR
+            # alone runs on its default grid, since --grid-M sizes the HOFD
+            # grid here
+            hofd.grid_size(args.grid_M, args.stencil_k)
             count = len((results.get("DVR")
                          or dvr.solve_spectrum(p, b=args.box_b)).eigenvalues)
         results["HOFD"] = hofd.hofd_spectrum(p, args.grid_M, args.stencil_k, count)
@@ -204,18 +210,26 @@ def cmd_wavefunction(args, parser) -> int:
 
 
 def cmd_spd(args, parser) -> int:
-    a_vals, b_vals, phases, rect = spd_grid(
+    a_vals, b_vals, codes, rect = spd_grid(
         args.V0, args.kappa, (args.A_min, args.A_max),
         (args.B_min, args.B_max), args.resolution)
     a_text = _cells(a_vals, 12)
+    labels = [phase.value for phase in PHASES]
+    # a row's runs of equal labels start at column 0 and after each change
+    rows, cols = np.nonzero(np.diff(codes, axis=1))
+    bounds = np.searchsorted(rows, np.arange(len(b_vals) + 1)).tolist()
+    starts, kinds = (cols + 1).tolist(), codes[rows, cols + 1].tolist()
 
     def row_blocks():
-        # one block per B row; `_value_` is a plain attribute, `.value` a
-        # property call per cell
-        for b, row in zip(_cells(b_vals, 12), phases):
-            mid = f",{b},"
-            yield "".join([f"{a}{mid}{phase._value_}\n"
-                           for a, phase in zip(a_text, row.tolist())])
+        # one block per B row and one join per run: the run's lines
+        # "a,b,label\n" are suffix.join(its A texts) + suffix
+        b_text = _cells(b_vals, 12)
+        for i, (b, first) in enumerate(zip(b_text, codes[:, 0].tolist())):
+            lo, hi = bounds[i], bounds[i + 1]
+            edges = [0, *starts[lo:hi], len(a_text)]
+            suffixes = [f",{b},{labels[k]}\n" for k in [first, *kinds[lo:hi]]]
+            yield "".join([suffix.join(a_text[i0:i1]) + suffix for i0, i1, suffix
+                           in zip(edges, edges[1:], suffixes)])
 
     manifest = _manifest(command="spd", V0=args.V0, kappa=args.kappa,
                          rectangle_B_max=rect["B_max"],
@@ -251,15 +265,23 @@ def cmd_verify(args, parser) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reads a negative number in any float form (`--A -2e1`, `-.5`) as a
     value, as argparse already reads `-20`. No option of ptbound looks
-    like a negative number, so none is shadowed. The pattern is private
-    argparse state, and subcommands inherit it through add_subparsers'
-    default `parser_class=type(self)`; test_negative_exponent_value guards
-    both."""
+    like a negative number, so none is shadowed. A write of --help to
+    stdout that fails raises, as any other stdout write does (argparse
+    drops the error). The pattern and `_print_message` are private
+    argparse state, and subcommands inherit both through add_subparsers'
+    default `parser_class=type(self)`; test_negative_exponent_value and
+    test_full_stdout_usage_error guard them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
 
 @functools.cache  # parsing fills a new namespace and leaves the parser as is
@@ -310,12 +332,15 @@ def main(argv: list[str] | None = None) -> int:
                 "spd": cmd_spd, "verify": cmd_verify}
     args = None
     try:
-        args = parser.parse_args(argv)
-        code = handlers[args.command](args, parser)
+        try:
+            args = parser.parse_args(argv)
+            code = handlers[args.command](args, parser)
+        except SystemExit as exc:  # --help, or parser.error in parsing or a handler
+            if exc.code not in (0, None):
+                return EXIT_USAGE
+            code = EXIT_OK
         sys.stdout.flush()  # so that a late write to stdout fails here too
         return code
-    except SystemExit as exc:  # --help, or parser.error in parsing or a handler
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except PtboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

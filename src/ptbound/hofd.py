@@ -6,8 +6,9 @@ with stencils of half-width k and maximal consistency order; the finite
 well needs only a rescaling to (0, 1). The entry point
 `hofd_spectrum(p, M, k, count)` takes the arguments of
 `dvr.solve_spectrum(p, M, b, count)`, k in place of b, and checks M and k
-itself. The compactification scale zeta is retuned per eigenvalue index,
-so the hyperbolic operator is rebuilt for every requested level. Each
+itself (`grid_size`, which a caller can also run before other work). The
+compactification scale zeta is retuned per eigenvalue index, so the
+hyperbolic operator is rebuilt for every requested level. Each
 build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1 stencil
 weight pairs (`operator`), computed once per (order, k) in a process, and
 samples the potential once, for the diagonal and the shift.
@@ -161,6 +162,16 @@ def box_operator(p: TrigParams, M: int, k: int) -> tuple[np.ndarray, np.ndarray]
     return op, v
 
 
+def grid_size(M: int | None, k: int) -> int:
+    """M, or DEFAULT_M if None; ValueError unless k >= 1 and M >= 2k + 2."""
+    M = DEFAULT_M if M is None else M
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if M < 2 * k + 2:
+        raise ValueError(f"need M >= 2k + 2, got M={M}, k={k}")
+    return M
+
+
 def hofd_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
                   k: int = DEFAULT_K, count: int | None = None) -> SpectrumResult:
     """The `count` lowest levels of p's family, ascending, with the largest
@@ -181,11 +192,7 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
     j - 1 and the asymptote, given the levels found so far: a bound level
     j lies nearer that shift than every level below it.
     """
-    M = DEFAULT_M if M is None else M
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if M < 2 * k + 2:
-        raise ValueError(f"need M >= 2k + 2, got M={M}, k={k}")
+    M = grid_size(M, k)
     count = TRIG_LEVELS if count is None else count
     if count < 0:
         raise ValueError("count must be >= 0")

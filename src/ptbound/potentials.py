@@ -14,6 +14,10 @@ Critical points of the hyperbolic potential are roots of a cubic in
 s = sinh^2(kx). Two sign tests on that cubic's coefficients, one for a
 well below the asymptote and one (its discriminant) for two critical
 points, give the phase label (B / B&R / R / S) without finding a root.
+The signs of two coefficients settle most nodes, so each test runs only
+at the nodes whose label it decides. `spd_grid` returns the labels of a
+grid as int8 indices into PHASES, filled a band of B rows at a time, so
+no float temporary is grid-sized.
 A label is a necessary condition: a well below the asymptote can hold
 bound states, but a B well may hold no level.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -160,52 +164,67 @@ def classify_phase(p: HyperbolicParams):
     reads c3 as it is. The products in the tests are formed from the
     mantissas and powers of 2 of c, so they hold for any finite c, and c
     comes scaled by 2^-3 at the nodes where it would overflow: exact but for
-    bits below 2^-1019, which V0 or A, near 1.8e308 there, dwarf.
+    bits below 2^-1019, which V0 or A, near 1.8e308 there, dwarf. Each
+    product test runs only at the nodes whose label it decides; the signs
+    of c3 and c2 label the rest.
 
     A label is a necessary condition: a well below the asymptote admits
     bound states, a barrier above it resonances, but a B well may hold no
     level.
     """
-    c3, c2, c1, c0 = critical_cubic(p)
+    return PHASES[_phase_codes(p)]
+
+
+def _positive(c, *terms):
+    """Whether the sum of k c3^n3 c2^n2 c1^n1 c0^n0 over the terms
+    (k, (n3, n2, n1, n0)) is positive, at each node of the equal-length
+    1-D arrays c = (c3, c2, c1, c0). Each product is taken over the
+    mantissas and scaled by 2 to its power less the largest power among the
+    products, so none under- or overflows."""
+    # c = mant * 2^power with 0.5 <= |mant| < 1; a zero coefficient's power
+    # is put far below any other's
+    mant, power = zip(*map(np.frexp, c))
+    power = [np.where(x != 0.0, y, -2**20) for x, y in zip(mant, power)]
+    top = functools.reduce(np.maximum, (
+        sum(n * y for y, n in zip(power, ns)) for _, ns in terms))
+    total, m = np.zeros(np.shape(top)), np.empty(np.shape(top))
+    e = np.empty_like(top)
+    for k, ns in terms:
+        m[...], e[...] = k, -top
+        for x, y, n in zip(mant, power, ns):
+            for _ in range(n):
+                m *= x
+                e += y
+        total += np.ldexp(m, e, out=m)
+    return total > 0.0
+
+
+def _phase_codes(p: HyperbolicParams) -> np.ndarray:
+    """`classify_phase`'s labels as int8 indices into PHASES (B, B&R, R, S),
+    in the broadcast shape of A and B. c3 < 0 is B and c2 >= 0 with c3 not
+    negative is S; c2^2 - 8 c3 c0 is formed only at the other nodes, and the
+    discriminant only at those of them with c3 > 0 and no well."""
+    c = critical_cubic(p)
     # |c3| <= 1e-13 max|c| counts as A + B = 0 (c3 need not enter the max:
     # when it is the largest, only c3 = 0 passes)
-    cut = abs(c3) <= 1e-13 * np.maximum(np.maximum(abs(c2), abs(c1)), abs(c0))
-    # c = mant * 2^power with 0.5 <= |mant| < 1, each in its own shape; a
-    # zero coefficient's power is put far below any other's
-    mant, power = zip(*map(np.frexp, (c3, c2, c1, c0)))
-    power = [np.where(x != 0.0, y, -2**20) for x, y in zip(mant, power)]
-    # the signs read below, c3's with the cut (the products in the tests
-    # read c3 as it is); mant keeps the sign
-    c3_pos, c3_neg = ~cut & (mant[0] > 0.0), ~cut & (mant[0] < 0.0)
-    c2_neg = mant[1] < 0.0
-    del c3, cut  # grid-sized, and not read again
-
-    def positive(*terms):
-        """Whether the sum of k c3^n3 c2^n2 c1^n1 c0^n0 over the terms
-        (k, (n3, n2, n1, n0)) is positive. Each product is taken over the
-        mantissas and scaled by 2 to its power less the largest power among
-        the products, so none under- or overflows."""
-        top = functools.reduce(np.maximum, (
-            sum(n * y for y, n in zip(power, ns)) for _, ns in terms))
-        total, m = np.zeros(np.shape(top)), np.empty(np.shape(top))
-        e = np.empty_like(top)
-        for k, ns in terms:
-            m[...], e[...] = k, -top
-            for x, y, n in zip(mant, power, ns):
-                for _ in range(n):
-                    m *= x
-                    e += y
-            total += np.ldexp(m, e, out=m)
-        return total > 0.0
-
-    # c2^2 - 8 c3 c0
-    well = c3_neg | (c2_neg & positive((1, (0, 2, 0, 0)), (-8, (1, 0, 0, 1))))
-    # the discriminant D
-    two = c3_pos & c2_neg & positive(
-        (18, (1, 1, 1, 1)), (-4, (0, 3, 0, 1)), (1, (0, 2, 2, 0)),
-        (-4, (1, 0, 3, 0)), (-27, (2, 0, 0, 2)))
-    # indices into PHASES (B, B&R, R, S)
-    return PHASES[np.select([well & c3_pos, well, two], [1, 0, 2], 3)]
+    cut = 1e-13 * np.maximum(np.maximum(abs(c[1]), abs(c[2])), abs(c[3]))
+    c3_pos, c3_neg = c[0] > cut, c[0] < -cut
+    c = [np.broadcast_to(x, c3_pos.shape) for x in c]
+    codes = np.where(c3_neg, np.int8(0), np.int8(3))  # B, else S so far
+    # c3 not negative and c2 < 0: a well where c2^2 - 8 c3 c0 > 0, B&R if
+    # c3 > 0 and B if not
+    test = ~c3_neg & (c[1] < 0.0)
+    sub = [x[test] for x in c]
+    well = _positive(sub, (1, (0, 2, 0, 0)), (-8, (1, 0, 0, 1)))
+    pos = c3_pos[test]
+    label = np.where(well, np.where(pos, 1, 0), 3)
+    # no well and c3 > 0: R where the discriminant D > 0
+    rest = pos & ~well
+    label[rest] = np.where(_positive(
+        [x[rest] for x in sub], (18, (1, 1, 1, 1)), (-4, (0, 3, 0, 1)),
+        (1, (0, 2, 2, 0)), (-4, (1, 0, 3, 0)), (-27, (2, 0, 0, 2))), 2, 3)
+    codes[test] = label
+    return codes
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -216,13 +235,20 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+# nodes that spd_grid labels at once, a band of whole B rows (at least one):
+# it bounds the float temporaries of the classification
+_BAND_NODES = 2**16
+
+
 def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
              B_range: tuple[float, float], resolution: int):
     """Phase classification over a rectangular (A, B) grid with
     `resolution` nodes per axis.
 
-    Returns (A_values, B_values, phases, tra_rectangle) where phases is a
-    (len(B), len(A)) array of Phase members and tra_rectangle holds the
+    Returns (A_values, B_values, codes, tra_rectangle) where codes is a
+    (len(B), len(A)) int8 array of indices into PHASES, labelled as
+    `classify_phase` labels each node, a band of whole B rows (at most
+    _BAND_NODES nodes, or one row) at a time; tra_rectangle holds the
     series-solution validity lines B = kappa^2/8 and A = V0.
     """
     if resolution < 2:
@@ -233,7 +259,10 @@ def spd_grid(V0: float, kappa: float, A_range: tuple[float, float],
 
     A_vals = _axis(*A_range, resolution)
     B_vals = _axis(*B_range, resolution)
-    phases = classify_phase(HyperbolicParams(V0=V0, A=A_vals, B=B_vals[:, None],
-                                             kappa=kappa))
+    p = HyperbolicParams(V0=V0, A=A_vals, B=B_vals[:, None], kappa=kappa)
+    codes = np.empty((len(B_vals), len(A_vals)), dtype=np.int8)
+    rows = max(1, _BAND_NODES // len(A_vals))
+    for i in range(0, len(B_vals), rows):
+        codes[i:i + rows] = _phase_codes(replace(p, B=p.B[i:i + rows]))
     rectangle = {"B_max": kappa**2 / 8.0, "A_max": V0}
-    return A_vals, B_vals, phases, rectangle
+    return A_vals, B_vals, codes, rectangle

@@ -1,14 +1,18 @@
 """Test-only references: conversions between dense matrices and the band
 layout of `ptbound.linalg` (band[i, r] = a[i, i - p + r]), the dense
 eigensolve that the banded solver is held to, a count of its Krylov
-vectors, and the terminating
+vectors, a runner of the CLI in a child process, and the terminating
 hypergeometric sum and closed-form norm of the Jacobi polynomials Q_n that
 the recursion `tra._q_forward` is held to."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import ptbound
 from ptbound import linalg
 from ptbound.errors import TraValidityError
 
@@ -69,6 +73,15 @@ def count_shifted_solves(monkeypatch):
 
     monkeypatch.setattr(linalg, "shifted_solver", counted)
     return solves
+
+
+def run_cli_child(argv, run=subprocess.run, **kw):
+    """`python -m ptbound.cli *argv` in a child process that imports this
+    package; `run` is subprocess.run or Popen, and `kw` goes to it (an
+    `env` is laid over the parent's environment)."""
+    src = os.path.dirname(os.path.dirname(ptbound.__file__))
+    env = {**os.environ, "PYTHONPATH": src, **kw.pop("env", {})}
+    return run([sys.executable, "-m", "ptbound.cli", *argv], env=env, **kw)
 
 
 def pochhammer(x, n):

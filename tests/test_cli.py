@@ -8,13 +8,14 @@ import os
 import re
 import resource
 import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import run_cli_child
 
 from ptbound import cli, dvr, hofd, linalg, reference
+from ptbound.potentials import PHASES, spd_grid
 
 
 def run(capsys, *argv):
@@ -201,10 +202,8 @@ def test_spd_nonfinite_bounds(capsys, bound):
 def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     # numpy's RuntimeWarnings once came before the error line; run as a
     # user would, with warnings shown, to see everything on stderr
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "ptbound.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    proc = run_cli_child(argv, capture_output=True, text=True,
+                         env={"PYTHONWARNINGS": "default"})
     assert proc.returncode == code and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
@@ -220,27 +219,25 @@ def test_wavefunction_deep_well_stops():
     # N = 8.8e11 for this state and the series coefficients overflow at
     # f_18; the coefficient list once grew on towards N. A child with a
     # time limit and a memory cap turns such a regression into a failure
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ptbound.cli", "wavefunction", *S1_FLAGS[:6],
-         "--B=-1e30", "--kappa", "1", "--states", "0", "--samples", "3"],
+    proc = run_cli_child(
+        ["wavefunction", *S1_FLAGS[:6], "--B=-1e30", "--kappa", "1",
+         "--states", "0", "--samples", "3"],
         capture_output=True, text=True, timeout=60,
-        preexec_fn=_cap_address_space, env={**os.environ, "PYTHONPATH": src})
+        preexec_fn=_cap_address_space)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: series coefficient f_18 ")
 
 
 def test_spd_out_of_memory_is_one_error_line():
-    # a 20000 x 20000 grid needs 3 GB per float array; under the cap numpy's
-    # MemoryError once ended in a traceback with exit 1, the code of a
-    # verification failure
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ptbound.cli", "spd", "--V0", "10",
-         "--A-min", "-5", "--A-max", "5", "--B-min", "-5", "--B-max", "5",
-         "--resolution", "20000"],
+    # the labels of a 40000 x 40000 grid take 1.6 GB, past the cap, before
+    # the first output byte (a smaller grid is labelled band by band and
+    # streams its table instead); under the cap numpy's MemoryError once
+    # ended in a traceback with exit 1, the code of a verification failure
+    proc = run_cli_child(
+        ["spd", "--V0", "10", "--A-min", "-5", "--A-max", "5",
+         "--B-min", "-5", "--B-max", "5", "--resolution", "40000"],
         capture_output=True, text=True, timeout=60,
-        preexec_fn=_cap_address_space, env={**os.environ, "PYTHONPATH": src})
+        preexec_fn=_cap_address_space)
     assert proc.returncode == 3 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: out of memory")
@@ -523,19 +520,18 @@ SPD_300 = ["spd", "--V0", "10", "--A-min", "-5", "--A-max", "5",
            "--B-min", "-5", "--B-max", "5", "--resolution", "300"]
 
 
-@pytest.mark.parametrize("argv", [["verify", "limits"], SPD_300],
-                         ids=["verify", "spd"])
+@pytest.mark.parametrize("argv", [["verify", "limits"], SPD_300, ["--help"],
+                                  ["spectrum", "--help"]],
+                         ids=["verify", "spd", "help", "spectrum-help"])
 def test_full_stdout_usage_error(argv):
     # a stdout that cannot be written once ended in a traceback with exit 1,
-    # the code of a verification failure
+    # the code of a verification failure, and --help in exit 0 with nothing
+    # written (argparse drops its write errors)
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "ptbound.cli", *argv], stdout=full,
-            stderr=subprocess.PIPE, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_cli_child(argv, stdout=full, stderr=subprocess.PIPE,
+                             text=True, timeout=120)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: stdout: [Errno 28] ")
@@ -544,11 +540,8 @@ def test_full_stdout_usage_error(argv):
 def test_closed_pipe_usage_error():
     # a reader that stops early, as `| head -c 20` does: the 3.5 MB table
     # fills the pipe, and the writes after the close fail
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ptbound.cli", *SPD_300],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src})
+    proc = run_cli_child(SPD_300, run=subprocess.Popen,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.read(20) == b"# command=spd\n# V0=1"
         proc.stdout.close()
@@ -630,19 +623,22 @@ def test_manifest_pinned(capsys, argv, want):
 DVR_S1, DVR_S3, HOFD = ("eigh", 199), ("eigh", 299), ("shift", 500)
 
 
-@pytest.mark.parametrize("flags, method, want", [
-    (S1_FLAGS, "dvr", [DVR_S1]),
+@pytest.mark.parametrize("flags, method, want, error", [
+    (S1_FLAGS, "dvr", [DVR_S1], None),
     # with no --count, HOFD keeps as many levels as a default DVR solve finds
-    (S1_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3),
-    (S1_FLAGS, "both", [DVR_S1] + [HOFD] * 3),
-    (S2_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3),
-    (S3_FLAGS, "dvr", [DVR_S3]),
+    (S1_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3, None),
+    (S1_FLAGS, "both", [DVR_S1] + [HOFD] * 3, None),
+    (S2_FLAGS, "hofd", [DVR_S1] + [HOFD] * 3, None),
+    (S3_FLAGS, "dvr", [DVR_S3], None),
     # the finite well's default count is HOFD's own: no DVR solve
-    (S3_FLAGS, "hofd", [HOFD]),
-    (S3_FLAGS, "both", [DVR_S3, HOFD])],
+    (S3_FLAGS, "hofd", [HOFD], None),
+    (S3_FLAGS, "both", [DVR_S3, HOFD], None),
+    # a grid HOFD cannot use fails before the DVR solve that counts levels
+    ([*S1_FLAGS, "--grid-M", "0"], "hofd", [],
+     "error: need M >= 2k + 2, got M=0, k=4\n")],
     ids=["S1-dvr", "S1-hofd", "S1-both", "S2-hofd", "S3-dvr", "S3-hofd",
-         "S3-both"])
-def test_spectrum_solver_census(capsys, monkeypatch, flags, method, want):
+         "S3-both", "S1-hofd-M0"])
+def test_spectrum_solver_census(capsys, monkeypatch, flags, method, want, error):
     # one record (solver, matrix order) per eigensolve
     calls = []
     for name, tag in (("eig_symmetric", "eigh"), ("eig_shift_invert", "shift")):
@@ -650,8 +646,12 @@ def test_spectrum_solver_census(capsys, monkeypatch, flags, method, want):
             calls.append((_tag, a.shape[0]))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(linalg, name, counted)
-    code, _, _ = run(capsys, "spectrum", *flags, "--method", method)
-    assert code == 0 and calls == want
+    code, out, err = run(capsys, "spectrum", *flags, "--method", method)
+    assert calls == want
+    if error is None:
+        assert code == 0
+    else:
+        assert (code, out, err) == (2, "", error)
 
 
 # sha256 of the header and data rows (manifest lines dropped): a new digest
@@ -667,6 +667,10 @@ PINNED_BODIES = {
     "spd-cut": (["spd", "--V0", "10", "--A-min", "-20", "--A-max", "20",
                  "--B-min", "-20", "--B-max", "20", "--resolution", "30"],
                 "3c99929e3f256523ab5fa9a76d005b6dbda5d0890f0f41e209c6b0b86af7869e"),
+    # 160 000 nodes, labelled in three bands of B rows
+    "spd-bands": (["spd", "--V0", "10", "--A-min", "-60", "--A-max", "40",
+                   "--B-min", "-60", "--B-max", "40", "--resolution", "400"],
+                  "e897402f248ed588a1a9aa2c4defbd239f7c4986a7b502b089b524901a704c68"),
     "S3": (["spectrum", *S3_FLAGS, "--method", "both"],
            "39e963cef2890995cba65fab0df2ab2cae1d11b9f676911d686fc83884ef8627"),
     "S4": (["spectrum", *S4_FLAGS, "--method", "both"],
@@ -744,6 +748,41 @@ def test_cells_match_one_cell_format(digits):
     assert cli._cells(tuple(values), digits) == want
 
 
+def _spd_rows(a_vals, b_vals, codes):
+    """The `spd` rows as one f-string per node, which the writer of runs of
+    equal labels replaced."""
+    return "".join(f"{_fmt(a, 12)},{_fmt(b, 12)},{PHASES[k].value}\n"
+                   for b, row in zip(b_vals, codes) for a, k in zip(a_vals, row))
+
+
+@pytest.mark.parametrize("name", ["spd-cut", "spd"])
+def test_spd_runs_match_per_node_rows(capsys, name):
+    # spd-cut's rows change label near A + B = 0, the top two twice
+    argv = PINNED_BODIES[name][0]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    flag = {k: float(v) for k, v in zip(argv[1::2], argv[2::2])}
+    a_vals, b_vals, codes, _ = spd_grid(
+        flag["--V0"], 1.0, (flag["--A-min"], flag["--A-max"]),
+        (flag["--B-min"], flag["--B-max"]), int(flag["--resolution"]))
+    assert (np.diff(codes, axis=1) != 0).sum(axis=1).max() >= 2
+    assert body(out) == "A,B,phase\n" + _spd_rows(a_vals, b_vals, codes)
+
+
+@pytest.mark.parametrize("codes", [[[3, 3, 3], [0, 0, 0]], [[0, 1, 2], [3, 2, 1]],
+                                   [[1, 1, 0], [0, 2, 2]]],
+                         ids=["one-run", "all-change", "ends"])
+def test_spd_runs_edge_rows(capsys, monkeypatch, codes):
+    # rows of one run, of one run per node, and changes at either end
+    codes = np.array(codes, dtype=np.int8)
+    a_vals, b_vals = np.array([-1.0, 0.0, 2.5]), np.array([-3.0, 4.0])
+    monkeypatch.setattr(cli, "spd_grid", lambda *args: (
+        a_vals, b_vals, codes, {"B_max": 0.125, "A_max": 10.0}))
+    code, out, _ = run(capsys, *SPD_SMALL)
+    assert code == 0
+    assert body(out) == "A,B,phase\n" + _spd_rows(a_vals, b_vals, codes)
+
+
 def without_timestamp(text):
     """The lines of a CSV or JSON artifact but its `generated` stamp."""
     return [ln for ln in text.splitlines() if not ln.startswith("# generated=")
@@ -784,10 +823,7 @@ def test_shared_parser_keeps_no_state(capsys, calls, codes):
     ["spectrum", *S3_FLAGS, "--method", "both"]], ids=["spd", "spectrum-S3"])
 def test_entry_point_matches_in_process(capsys, argv):
     # the one-shot path a shell user takes: a fresh process, fresh caches
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-m", "ptbound.cli", *argv],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = run_cli_child(argv, capture_output=True, text=True)
     code, out, err = run(capsys, *argv)
     assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
     assert without_timestamp(proc.stdout) == without_timestamp(out)

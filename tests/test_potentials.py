@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptbound import potentials
 from ptbound.errors import DomainError
 from ptbound.potentials import (
     ASYMPTOTE,
+    PHASES,
     HyperbolicParams,
     Phase,
     TrigParams,
@@ -363,15 +366,17 @@ def test_a_plus_b_nonnegative_never_bound(v0, a, b, kappa):
 
 
 def test_spd_grid_node_and_determinism():
-    a_vals, b_vals, phases, rect = spd_grid(
+    a_vals, b_vals, codes, rect = spd_grid(
         10.0, 1.0, (-40.0, 20.0), (-30.0, 10.0), 4)
+    assert codes.dtype == np.int8
+    phases = PHASES[codes]
     assert phases.shape == (4, 4)
     assert phases[0, 0] is Phase.B  # node (A, B) = (-40, -30)
     # rows run over B: (A, B) = (20, -50/3) is S, its transpose (-20, 10) is B
     assert phases[1, 3] is Phase.S and phases[3, 1] is Phase.B
     assert rect == {"B_max": 0.125, "A_max": 10.0}
     again = spd_grid(10.0, 1.0, (-40.0, 20.0), (-30.0, 10.0), 4)
-    assert (again[2] == phases).all()
+    assert (again[2] == codes).all()
 
 
 def test_spd_grid_resolution_validation():
@@ -406,8 +411,9 @@ def oracle_phase(V0, A, B):
 def test_spd_grid_matches_numpy_roots(V0):
     rng = np.random.default_rng(int(V0 * 10))
     kappa = float(rng.uniform(0.5, 1.5))
-    a_vals, b_vals, phases, _ = spd_grid(V0, kappa, (-60.0, 40.0),
-                                         (-60.0, 40.0), 60)
+    a_vals, b_vals, codes, _ = spd_grid(V0, kappa, (-60.0, 40.0),
+                                        (-60.0, 40.0), 60)
+    phases = PHASES[codes]
     bad = [(a, b) for i, b in enumerate(b_vals) for j, a in enumerate(a_vals)
            if phases[i, j] is not oracle_phase(V0, a, b)]
     assert bad == []
@@ -426,8 +432,9 @@ def test_classify_phase_near_anti_diagonal():
 
 def test_spd_grid_anti_diagonal_on_nodes():
     # A = -B exactly on 101 nodes: c3 = 0 there, the quadratic branch
-    a_vals, b_vals, phases, _ = spd_grid(10.0, 1.0, (-50.0, 50.0),
-                                         (-50.0, 50.0), 101)
+    a_vals, b_vals, codes, _ = spd_grid(10.0, 1.0, (-50.0, 50.0),
+                                        (-50.0, 50.0), 101)
+    phases = PHASES[codes]
     nodes = [(i, j) for i in range(101) for j in range(101)
              if a_vals[j] + b_vals[i] == 0.0]
     assert len(nodes) == 101
@@ -441,12 +448,33 @@ def test_classify_phase_linear_branch():
     assert classify_phase(p) is Phase.S is oracle_phase(4.0, -4.0, 4.0)
 
 
-def test_spd_grid_block_matches_point():
-    # a node classified with the whole grid gets the same label as alone
+def test_spd_grid_block_matches_point(monkeypatch):
+    # a node classified with the whole grid gets the same label as alone,
+    # whether the grid is labelled in one band or in several (budgets of
+    # 100 and 1 node: 2 rows a band, and 1)
     V0, kappa = 7.5, 1.2
-    a_vals, b_vals, phases, _ = spd_grid(V0, kappa, (-60.0, 40.0),
-                                         (-60.0, 40.0), 45)
-    rng = np.random.default_rng(5)
-    for i, j in rng.integers(0, 45, size=(60, 2)):
-        alone = classify_phase(HyperbolicParams(V0, a_vals[j], b_vals[i], kappa))
-        assert phases[i, j] is alone
+    grids = []
+    for budget in (potentials._BAND_NODES, 100, 1):
+        monkeypatch.setattr(potentials, "_BAND_NODES", budget)
+        a_vals, b_vals, codes, _ = spd_grid(V0, kappa, (-60.0, 40.0),
+                                            (-60.0, 40.0), 45)
+        grids.append(PHASES[codes].tolist())
+    point = [[classify_phase(HyperbolicParams(V0, a, b, kappa)) for a in a_vals]
+             for b in b_vals]
+    assert grids == [point] * 3
+    assert len({phase for row in point for phase in row}) == 4
+    for i, j in np.random.default_rng(5).integers(0, 45, size=(60, 2)):
+        assert point[i][j] is oracle_phase(V0, a_vals[j], b_vals[i])
+
+
+def test_spd_grid_memory_is_banded():
+    # a 2000 x 2000 grid holds 4 MB of labels; each float array over the
+    # whole grid would be 32 MB, and several once were
+    tracemalloc.start()
+    try:
+        codes = spd_grid(10.0, 1.0, (-60.0, 40.0), (-60.0, 40.0), 2000)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.nbytes == 4_000_000
+    assert peak < 16_000_000, peak
