@@ -76,7 +76,9 @@ def kinetic_semiinfinite(M: int, b: float) -> np.ndarray:
         t = _toeplitz_minus_hankel(1.0 / n**2)
     i = np.arange(1, M, dtype=float)
     np.fill_diagonal(t, math.pi**2 / 6.0 - 1.0 / (4.0 * i**2))
-    return t / dx**2
+    # dx^2 may underflow to 0; the solver rejects the inf that gives
+    with np.errstate(divide="ignore"):
+        return t / dx**2
 
 
 def kinetic_box(M: int, a: float) -> np.ndarray:

@@ -18,11 +18,14 @@ eigenvalues are wanted, so they come from a shift-invert Arnoldi solve
 (`linalg.eig_shift_invert`) rather than a dense eigendecomposition. Each
 hyperbolic level after the first is solved from a shift between the level
 below it and the asymptote, where it converges in fewer Krylov vectors
-than from a shift left of the whole spectrum. A row reaches at most
-p = 2k - 1 columns from the diagonal (the one-sided wall stencils), so
-the operator is built as its M x (2p + 1) band (the layout of `linalg`)
-and the solve factors it block by block in O(M) work, where a dense
-inverse would cost O(M^3); no M x M operator is formed.
+than from a shift left of the whole spectrum, and only that level has to
+converge: the levels below it need only be present and matched. A row
+reaches at most p = 2k - 1 columns from the diagonal (the one-sided wall
+stencils), so the operator is built as its M x (2p + 1) band (the layout
+of `linalg`), and the solve factors it by nested dissection in O(M)
+work, where a dense inverse would cost O(M^3); no M x M operator is
+formed. A level at or left of min V - 1 is a stencil artifact (wide
+stencils make them) and raises SolverError.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import linalg
 from .dvr import TRIG_LEVELS, SpectrumResult
+from .errors import SolverError
 from .potentials import (
     ASYMPTOTE,
     HyperbolicParams,
@@ -190,7 +194,8 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
     operator's diagonal is no such bound: it carries the stencil's large
     diagonal too.) Each later level j is solved from the midpoint of level
     j - 1 and the asymptote, given the levels found so far: a bound level
-    j lies nearer that shift than every level below it.
+    j lies nearer that shift than every level below it. A level at or
+    left of that minimum less one raises SolverError (`_above`).
     """
     M = grid_size(M, k)
     count = TRIG_LEVELS if count is None else count
@@ -201,17 +206,30 @@ def hofd_spectrum(p: HyperbolicParams | TrigParams, M: int | None = None,
     if isinstance(p, HyperbolicParams):
         for j in range(1, count + 1):
             op, v = hyperbolic_operator(p, M, k, j)
-            sigma = ((eigenvalues[-1] + ASYMPTOTE) / 2.0 if eigenvalues
-                     else float(v.min()) - 1.0)
+            floor = float(v.min()) - 1.0
+            sigma = (eigenvalues[-1] + ASYMPTOTE) / 2.0 if eigenvalues else floor
             real, resid = linalg.eig_shift_invert(op, sigma, j, eigenvalues)
-            lam = float(real[j - 1])
+            lam = float(_above(real, floor)[0])
             if lam >= ASYMPTOTE:
                 break
             max_resid = max(max_resid, resid)
             eigenvalues.append(lam)
     else:
         op, v = box_operator(p, M, k)
-        real, max_resid = linalg.eig_shift_invert(op, float(v.min()) - 1.0, count)
-        eigenvalues = [float(x) for x in real]
+        floor = float(v.min()) - 1.0
+        real, max_resid = linalg.eig_shift_invert(op, floor, count)
+        eigenvalues = [float(x) for x in _above(real, floor)]
     return SpectrumResult(eigenvalues=tuple(eigenvalues),
                           config={"M": M, "k": k}, max_residual=max_resid)
+
+
+def _above(levels: np.ndarray, floor: float) -> np.ndarray:
+    """The ascending `levels`; SolverError if the lowest lies at or left of
+    `floor`, one below the minimum of the potential on the grid. No level
+    of the operator should lie there: one that does is an artifact of the
+    stencil, and the shift placed at `floor` was not left of the whole
+    spectrum, as the solve assumed."""
+    if len(levels) and not levels[0] > floor:
+        raise SolverError(f"level {levels[0]:.6g} lies at or below "
+                          f"min V - 1 = {floor:.6g}: a stencil artifact")
+    return levels

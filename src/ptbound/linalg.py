@@ -11,7 +11,9 @@ few eigenvalues nearest a shift of a nonsymmetric banded matrix come from
 a shift-invert Arnoldi iteration on numpy alone, which takes the n x n
 matrix a as its band: band[i, r] = a[i, i - p + r], n x (2p + 1) and zero
 outside a (the row form of LAPACK's general band layout). The shifted
-matrix is factored in blocks of at least max(BLOCK, p) rows.
+matrix is factored once per solve by nested dissection: interiors of at
+least max(BLOCK, p) rows, inverted in one batched call, and the p-row
+separators between them, coupled through one dense Schur complement.
 """
 
 from __future__ import annotations
@@ -84,57 +86,78 @@ def near_real_order(w: np.ndarray) -> np.ndarray:
 
 def shifted_solver(band: np.ndarray,
                    sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The map b -> (a - sigma I)^-1 b for a given as its band, by block LU.
+    """The map b -> (a - sigma I)^-1 b for a given as its band, by a
+    one-level separator factorization (nested dissection; George, SIAM J.
+    Numer. Anal. 10 (1973) 345).
 
-    The rows are cut into blocks of s = max(BLOCK, p) rows, the last one
-    taking the remainder, so no block is shorter than p and a small matrix
-    is one block. Block i then meets only blocks i - 1 and i + 1, through
-    p x p corners: L_i, the first p rows of i against the last p columns of
-    i - 1, and U_i, the last p rows of i against the first p columns of
-    i + 1. The factor keeps the inverses of S_i = D_i - L_i S_{i-1}^-1 U_{i-1},
-    D_i being the diagonal block of a - sigma I (only the leading p x p
-    corner of S_i differs from D_i). A solve is a forward sweep
-    z_i = S_i^-1 (b_i - L_i z_{i-1}) and a backward sweep
-    x_i = z_i - S_i^-1 U_i x_{i+1}. D_i, L_i and U_i are cut from one dense
-    strip per block, rows lo:hi over columns lo - p .. hi + p; no n x n
-    array and no dense inverse is formed. The blocks are not pivoted
-    against each other, so a singular S_i raises SolverError.
+    The rows are cut into c = max((n + p) // (s + p), 1) interiors of t
+    rows, s = max(BLOCK, p), each pair split by a separator of p rows; t is
+    the least that covers n, and rows of the identity pad the last interior
+    to t rows, so a small matrix is one interior. As t >= p, no row reaches
+    past the separators beside it and the interiors do not meet. With I the
+    block-diagonal interior part of a - sigma I, E its coupling to the
+    separators, F theirs to the interiors and D theirs to themselves, the
+    separators solve S x_S = b_S - F I^-1 b_I, S = D - F I^-1 E being block
+    tridiagonal of order (c - 1) p, and then x_I = I^-1 b_I - I^-1 E x_S.
+    The interiors are inverted in one batched call and S densely, so a
+    solve is a fixed handful of batched products whatever n is; no n x n
+    array is formed. The pieces are not pivoted against each other, so a
+    singular interior or S raises SolverError.
     """
     n, width = band.shape
-    p = width // 2
+    p = min(width // 2, max(n - 1, 0))  # the band beyond n - 1 lies outside a
+    band = band[:, width // 2 - p:width // 2 + p + 1]
+    width = 2 * p + 1
     s = max(BLOCK, p)
-    edges = [i * s for i in range(max(n // s, 1))] + [n]
-    blocks = list(zip(edges[:-1], edges[1:]))
-    inverses, lower, upper = [], [None], []
-    for lo, hi in blocks:
-        m = hi - lo
-        rows = np.arange(m)[:, None]  # strip column c holds column lo - p + c
-        strip = np.zeros((m, m + 2 * p))
-        strip[rows, rows + np.arange(width)] = band[lo:hi]
-        d = strip[:, p:p + m].copy()
-        d[np.diag_indices(m)] -= sigma
-        if lo:
-            tail = len(inverses[-1]) - p
-            lower.append(strip[:p, :p])
-            d[:p, :p] -= lower[-1] @ inverses[-1][tail:, tail:] @ upper[-1]
-        try:
-            inverses.append(np.linalg.inv(d))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"shift {sigma:.6g} leaves rows {lo}:{hi} of "
-                              f"a - sigma I singular: {exc}") from exc
-        upper.append(strip[m - p:, m + p:])
-    # S_i^-1 U_i; only its first p columns are nonzero
-    back = [inv[:, len(inv) - p:] @ u for inv, u in zip(inverses[:-1], upper)]
+    c = max((n + p) // (s + p), 1)
+    t = -(((c - 1) * p - n) // c)  # ceil((n - (c - 1) p) / c)
+    period = t + p  # an interior and the separator after it
+    padded = np.zeros((c * period, width))
+    padded[:n] = band
+    padded[:n, p] -= sigma
+    padded[n:, p] = 1.0  # the padding and the unused last separator
+    # each interior and its separator as one dense strip over the columns
+    # from p before it to 2p after it: row r reaches strip columns r .. r + 2p
+    q = np.arange(period)[:, None]
+    strip = np.zeros((c, period, period + 2 * p))
+    strip[:, q, q + np.arange(width)] = padded.reshape(c, period, width)
+    inner, sep = strip[:, :t, :t + 2 * p], strip[:-1, t:, t:]
+    try:
+        inv = np.linalg.inv(inner[:, :, p:p + t])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"shift {sigma:.6g} leaves an interior block of "
+                          f"a - sigma I singular: {exc}") from exc
+    # I^-1 E: interior i meets separator i - 1 through its first p rows and
+    # separator i through its last p rows
+    ie = np.concatenate((inv[:, :, :p] @ inner[:, :p, :p],
+                         inv[:, :, t - p:] @ inner[:, t - p:, t + p:]), axis=2)
+    # F: separator i meets the last p columns of interior i and the first p
+    # of interior i + 1
+    f = np.concatenate((sep[:, :, :p], sep[:, :, 2 * p:]), axis=2)
+    i = np.arange(c - 1)
+    schur = np.zeros((c - 1, p, c - 1, p))
+    schur[i, :, i, :] = (sep[:, :, p:2 * p] - f[:, :, :p] @ ie[:-1, t - p:, p:]
+                         - f[:, :, p:] @ ie[1:, :p, :p])
+    schur[i[1:], :, i[:-1], :] = -f[1:, :, :p] @ ie[1:-1, t - p:, :p]
+    schur[i[:-1], :, i[1:], :] = -f[:-1, :, p:] @ ie[1:-1, :p, p:]
+    try:
+        schur_inv = np.linalg.inv(schur.reshape((c - 1) * p, (c - 1) * p))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"shift {sigma:.6g} leaves the separators of "
+                          f"a - sigma I singular: {exc}") from exc
 
     def solve(b: np.ndarray) -> np.ndarray:
-        x = b.copy()
-        for (lo, hi), inv, low in zip(blocks, inverses, lower):
-            if lo:
-                x[lo:lo + p] -= low @ x[lo - p:lo]
-            x[lo:hi] = inv @ x[lo:hi]
-        for (lo, hi), w in zip(blocks[-2::-1], back[::-1]):
-            x[lo:hi] -= w @ x[hi:hi + p]
-        return x
+        x = np.zeros(c * period)
+        x[:n] = b
+        x = x.reshape(c, period)  # x[i, t:] is separator i, the last one 0
+        y = (inv @ x[:, :t, None])[:, :, 0]  # I^-1 b_I
+        near = np.concatenate((y[:-1, t - p:], y[1:, :p]), axis=1)
+        rhs = x[:-1, t:] - (f @ near[:, :, None])[:, :, 0]
+        x[:-1, t:] = (schur_inv @ rhs.ravel()).reshape(c - 1, p)
+        beside = np.concatenate((np.zeros((1, p)), x[:, t:]))
+        beside = np.concatenate((beside[:-1], beside[1:]), axis=1)
+        x[:, :t] = y - (ie @ beside[:, :, None])[:, :, 0]
+        return x.ravel()[:n]
 
     return solve
 
@@ -142,40 +165,44 @@ def shifted_solver(band: np.ndarray,
 def eig_shift_invert(band: np.ndarray, sigma: float, count: int,
                      found: Sequence[float] = ()) -> tuple[np.ndarray, float]:
     """The `count` smallest near-real eigenvalues of a real banded matrix a,
-    given as its band. `found` may hold approximations of the lowest few of
-    them (ascending, fewer than `count`), such as the levels of a nearby
-    matrix.
+    given as its band, less those already in `found`. `found` may hold
+    approximations of the lowest few of them (ascending, fewer than
+    `count`), such as the levels of a nearby matrix.
 
     Shift-invert Arnoldi: with B = (a - sigma I)^-1 the eigenvalues nearest
     sigma become the largest eigenvalues theta of B and converge first in
-    its Krylov space. B is never formed: each Krylov step applies it as two
-    sweeps over the blocks `shifted_solver` factors once. The orthonormal
-    basis grows KRYLOV_STEP vectors at a time (two-pass Gram-Schmidt from a
-    fixed random start); after each step the Ritz pairs (theta, y) of the
-    m x m Hessenberg matrix map back by lambda = sigma + 1/theta. By the
-    Arnoldi relation the Ritz vector x = V y has |(B - theta) x| =
-    beta_m |y_m|, beta_m being the basis' link to vector m + 1 and y_m the
-    last entry of the unit y (Saad, Numerical Methods for Large Eigenvalue
-    Problems, 2011, ch. 6). The values are accepted once that estimate is at
-    most RITZ_RTOL * |theta| for each of the `count` smallest near-real
-    lambda (as d lambda / |lambda - sigma| = d theta / |theta|, the same
-    bound relative to |lambda - sigma|), and each value of `found` and the
-    lambda of its rank are each other's nearest among those lambda and
-    `found` together; or once the basis spans the whole space. The
-    eigenvalues nearest sigma converge first, so without `found` sigma must
-    lie left of every wanted eigenvalue: one far left of it may have no
-    Ritz value yet when the others have converged, and a higher eigenvalue
-    then fills its slot. With `found`, such a slot fails the match (a rank
-    match alone would pass it for a single level). A step that ends on a
-    restart (beta_m = 0) is never accepted below the whole space: its
-    estimates all read 0, but its Ritz values then cover only an invariant
-    subspace and may miss a wanted eigenvalue. Every returned pair must
-    meet `_residual`. A band that is
-    not 2-D of odd width, or `found` with count or more values, raises
-    ValueError; a non-finite a, a singular block or a failed Hessenberg
-    eigensolve raises SolverError.
+    its Krylov space. B is never formed: each Krylov vector applies it as a
+    few batched products over the pieces `shifted_solver` factors once. The
+    orthonormal basis grows KRYLOV_STEP vectors at a time (two-pass
+    Gram-Schmidt from a fixed random start); after each step the Ritz pairs
+    (theta, y) of the m x m Hessenberg matrix map back by
+    lambda = sigma + 1/theta. By the Arnoldi relation the Ritz vector
+    x = V y has |(B - theta) x| = beta_m |y_m|, beta_m being the basis' link
+    to vector m + 1 and y_m the last entry of the unit y (Saad, Numerical
+    Methods for Large Eigenvalue Problems, 2011, ch. 6). The `count`
+    smallest near-real lambda are accepted once that estimate is at most
+    RITZ_RTOL * |theta| for each kept one, those above the ranks of `found`
+    (as d lambda / |lambda - sigma| = d theta / |theta|, the same bound
+    relative to |lambda - sigma|), and each value of `found` and the lambda
+    of its rank are each other's nearest among those lambda and `found`
+    together; or once the basis spans the whole space. The lambda of the
+    ranks of `found` must be there and matched, but need not converge: the
+    caller has those levels already. The eigenvalues nearest sigma converge
+    first, so without `found` sigma must lie left of every wanted
+    eigenvalue: one far left of it may have no Ritz value yet when the
+    others have converged, and a higher eigenvalue then fills its slot.
+    With `found`, such a slot fails the match (a rank match alone would
+    pass it for a single level). A step that ends on a restart (beta_m = 0)
+    is never accepted below the whole space: its estimates all read 0, but
+    its Ritz values then cover only an invariant subspace and may miss a
+    wanted eigenvalue. Every returned pair must meet `_residual`. A band
+    that is not 2-D of odd width, or `found` with count or more values,
+    raises ValueError; a non-finite a, a singular piece of a - sigma I or a
+    failed Hessenberg eigensolve raises SolverError.
 
-    Returns the eigenvalues ascending and the largest relative residual.
+    Returns the kept eigenvalues, the count - len(found) of ranks
+    len(found) + 1 .. count, ascending, and the largest relative residual
+    among them.
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or band.shape[1] % 2 == 0:
@@ -219,21 +246,22 @@ def eig_shift_invert(band: np.ndarray, sigma: float, count: int,
             raise SolverError(f"Hessenberg eigensolve failed: {exc}") from exc
         lam = sigma + 1.0 / theta
         picked = near_real_order(lam)[:count]
+        kept = picked[len(found):]
         beta = hess[m, m - 1]
         if m == n or (len(picked) == count and beta > 0.0
-                      and np.all(beta * np.abs(y[m - 1, picked])
-                                 <= RITZ_RTOL * np.abs(theta[picked]))
+                      and np.all(beta * np.abs(y[m - 1, kept])
+                                 <= RITZ_RTOL * np.abs(theta[kept]))
                       and _matches(lam[picked].real, found)):
             break
 
     if len(picked) < count:
         raise SolverError(
             f"only {len(picked)} near-real eigenvalues, need {count}")
-    x = basis[:m].T @ y[:, picked]
+    x = basis[:m].T @ y[:, kept]
     x /= np.linalg.norm(x, axis=0)
     padded = np.pad(x, ((width // 2,) * 2, (0, 0)))  # a x: 2p + 1 multiply-adds
     ax = sum(band[:, r, None] * padded[r:r + n] for r in range(width))
-    return lam[picked].real, _residual(ax, x, lam[picked], norm)
+    return lam[kept].real, _residual(ax, x, lam[kept], norm)
 
 
 def _matches(ritz: np.ndarray, found: np.ndarray) -> bool:

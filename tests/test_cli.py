@@ -196,9 +196,12 @@ def test_spd_nonfinite_bounds(capsys, bound):
     (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "dvr"], 3),
     (["spectrum", *S3_FLAGS[:-1], "1e-200", "--method", "hofd"], 3),
     (["wavefunction", *S1_FLAGS[:7], "-4000", "--states", "34",
-      "--samples", "20"], 3)],
+      "--samples", "20"], 3),
+    # dx^2 underflows to 0 in the kinetic matrix
+    (["spectrum", *S1_FLAGS, "--method", "dvr", "--box-b", "1e-300"], 3),
+    (["wavefunction", *S1_FLAGS, "--states", "0", "--box-b", "1e-300"], 3)],
     ids=["spd-inf", "kappa-dvr", "kappa-hofd", "a-dvr", "a-hofd",
-         "wavefunction-nan"])
+         "wavefunction-nan", "box-b-dvr", "box-b-wavefunction"])
 def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     # numpy's RuntimeWarnings once came before the error line; run as a
     # user would, with warnings shown, to see everything on stderr
@@ -207,6 +210,35 @@ def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     assert proc.returncode == code and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, method, k, count", [
+    (S3_FLAGS, "hofd", 40, []), (S3_FLAGS, "hofd", 50, []),
+    (S3_FLAGS, "hofd", 50, ["--count", "3"]), (S4_FLAGS, "hofd", 40, []),
+    (S4_FLAGS, "hofd", 50, []), (S4_FLAGS, "both", 40, []),
+    (S1_FLAGS, "both", 36, [])],
+    ids=["S3-40", "S3-50", "S3-50-count3", "S4-40", "S4-50", "S4-40-both",
+         "S1-36-both"])
+def test_wide_stencil_artifact_fails(capsys, flags, method, k, count):
+    # these stencils put levels at or left of min V - 1, the shift that HOFD
+    # takes to lie left of the whole spectrum, and once exited 0: S3 printed
+    # ten levels from -4.56e4 at k = 40 and 1.12996 three times at k = 50
+    # (min V - 1 = 1.12997), S4 printed -1.19e6 beside DVR's 29.96, and S1
+    # printed -1668 beside DVR's -17.29 (min V - 1 = -27.06)
+    code, out, err = run(capsys, "spectrum", *flags, "--method", method,
+                         "--stencil-k", str(k), *count)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: level ") and "stencil artifact" in err
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_stencil_widths_keep_level_counts(capsys, k):
+    # the artifact check passes every level of the stencils up to k = 20
+    for flags, levels in ((S1_FLAGS, 3), (S3_FLAGS, dvr.TRIG_LEVELS)):
+        code, out, _ = run(capsys, "spectrum", *flags, "--method", "hofd",
+                           "--stencil-k", str(k))
+        assert code == 0 and len(parse_csv(out)[2]) == levels
 
 
 def _cap_address_space():

@@ -307,15 +307,26 @@ def test_shift_below_spectrum(p, monkeypatch):
     assert all(sigma < lowest for sigma, lowest in shifts)
 
 
-@pytest.mark.parametrize("M, count, bound", [(hofd.DEFAULT_M, 3, 60),
-                                             (1000, 10, 200)])
-def test_krylov_vectors_per_level(M, count, bound, monkeypatch):
-    # one shifted solve per Krylov vector. From a shift left of the whole
-    # spectrum, S1's top level (j = 3) took 100 vectors at the default M and
-    # the continuum probe of an explicit --count (j = 4) 420 at M = 1000;
-    # from the midpoint of the level below and the asymptote, the last
-    # solve of each call stays within `bound`
+# Krylov vectors per shifted solve, one solve per level (the finite well's
+# levels share one) and a last one when `count` asks past the bound levels,
+# which probes the continuum. Each level converges alone: converging the
+# levels below it as well took S1 20/40/60 and S2 20/40/40 vectors.
+KRYLOV_VECTORS = {
+    (hofd.DEFAULT_M, 3): [(S1, [20, 20, 40]), (S2, [20, 20, 40]),
+                          (SHALLOW, [80, 60]), (S3, [20])],
+    (1000, 10): [(S1, [20, 20, 40, 160]), (S2, [20, 20, 40, 160]),
+                 (SHALLOW, [80, 80]), (S3, [40])],
+}
+
+
+@pytest.mark.parametrize("M, count", sorted(KRYLOV_VECTORS))
+def test_krylov_vectors_per_level(M, count, monkeypatch):
+    # from a shift left of the whole spectrum, S1's top level took 100
+    # vectors at the default M and the continuum probe 420 at M = 1000;
+    # from the midpoint of the level below and the asymptote they take 40
+    # and 160
     solves = count_shifted_solves(monkeypatch)
-    levels = hofd.hofd_spectrum(S1, M, count=count).eigenvalues
-    assert len(levels) == 3 and len(solves) == min(count, 4)
-    assert solves[-1] <= bound
+    for p, want in KRYLOV_VECTORS[M, count]:
+        first = len(solves)
+        hofd.hofd_spectrum(p, M, count=count)
+        assert solves[first:] == want, p

@@ -183,19 +183,29 @@ def test_eig_shift_invert_residual_contract(monkeypatch):
         linalg.eig_shift_invert(band(a, 39), 0.0, 2)
 
 
-def test_eig_shift_invert_finds_level_left_of_shift():
+def test_eig_shift_invert_finds_level_left_of_shift(monkeypatch):
     # -1e4 lies far left of the shift, so its Ritz value appears only after
     # 2 and 3 have converged: without the levels below, the first step
-    # fills slot 1 with 2; given them, it waits for -1e4 in slot 1
+    # fills slot 1 with 2; given them, the solve waits a step more for -1e4
+    # in slot 1, then returns and certifies only the levels above `found`
+    solves = count_shifted_solves(monkeypatch)
+    certified = []
+    contract = linalg._residual
+
+    def recorded(ax, x, lam, norm):
+        certified.append(x.shape[1])
+        return contract(ax, x, lam, norm)
+    monkeypatch.setattr(linalg, "_residual", recorded)
     a = np.diag(np.concatenate([[-1e4], np.arange(2.0, 201.0)]))
     wrong, _ = linalg.eig_shift_invert(band(a, 0), 1.5, 2)
     assert np.allclose(wrong, [2.0, 3.0], rtol=0.0, atol=1e-12)
     for found in ([-1.001e4], [-1.001e4, 2.01]):
         count = len(found) + 1
         got, resid = linalg.eig_shift_invert(band(a, 0), 1.5, count, found)
-        assert abs(got[0] + 1e4) <= 1e-12 * 1e4
-        assert abs(got[-1] - count) <= 1e-12
+        assert got.shape == (1,) and abs(got[0] - count) <= 1e-12
         assert resid <= linalg.RESIDUAL_RTOL
+    assert solves == [linalg.KRYLOV_STEP] + [2 * linalg.KRYLOV_STEP] * 2
+    assert certified == [2, 1, 1]
 
 
 @pytest.mark.parametrize("count, found", [(2, [1.0, 2.0]), (1, [1.0]),
@@ -219,17 +229,60 @@ def _banded(n, p, seed):
     return a
 
 
-@pytest.mark.parametrize("n,p", [(203, 5), (150, 0), (40, 39), (300, 70),
-                                 (2 * linalg.BLOCK, 1)])
+def _period(p, c):
+    """The order n at which the solver first cuts c interiors of a band of
+    half-width p: n + p = c (max(BLOCK, p) + p)."""
+    return c * (max(linalg.BLOCK, p) + p) - p
+
+
+@pytest.mark.parametrize("n,p", [
+    (203, 5), (150, 0), (40, 39), (300, 70), (2 * linalg.BLOCK, 1),
+    (_period(7, 2) - 1, 7), (_period(7, 2), 7), (_period(7, 2) + 1, 7),
+    (_period(7, 7) - 1, 7), (_period(7, 7), 7), (_period(7, 7) + 1, 7),
+    (_period(linalg.BLOCK, 3) - 1, linalg.BLOCK),
+    (_period(linalg.BLOCK, 3), linalg.BLOCK),
+    (_period(linalg.BLOCK + 1, 3) + 1, linalg.BLOCK + 1), (5, 7)])
 def test_shifted_solver_matches_dense_solve(n, p):
-    # several blocks with a remainder, a diagonal, a dense single block and
-    # a band wider than BLOCK
+    # padded interiors and separators, a diagonal, a dense single interior,
+    # one interior below a period and two at and just above it, the seven
+    # interiors of the default HOFD grid, bands as wide as BLOCK and wider,
+    # and a band wider than the matrix
     a = _banded(n, p, n + p)
     sigma = -2.0 * linalg.matrix_norm(a)  # keeps a - sigma I well conditioned
     b = np.random.default_rng(1).normal(size=n)
     got = linalg.shifted_solver(band(a, p), sigma)(b)
     want = np.linalg.solve(a - sigma * np.eye(n), b)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_shifted_solver_hofd_operator(k, shift):
+    # the operators HOFD factors, at its shift, on either side of the order
+    # where a third interior appears; the wide-stencil finite well's own
+    # conditioning (1e8) allows 6.5e-14, against a 2e-13 bound
+    M = _period(2 * k - 1, 3) + shift
+    for op, v in (hofd.hyperbolic_operator(reference.HYPERBOLIC_SETS["S1"], M, k, 1),
+                  hofd.box_operator(reference.TRIG_SETS["S3"], M, k)):
+        sigma = float(v.min()) - 1.0
+        b = np.random.default_rng(M).normal(size=M)
+        got = linalg.shifted_solver(op, sigma)(b)
+        want = np.linalg.solve(dense(op) - sigma * np.eye(M), b)
+        assert np.abs(got - want).max() <= 2e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [0, 1, 7, linalg.BLOCK])
+def test_shifted_solver_singular_piece(p):
+    # a shift at any diagonal entry of a diagonal matrix leaves one piece
+    # exactly singular, an interior or (p > 0) a separator; each must be a
+    # SolverError, never numpy's LinAlgError
+    a = band(np.diag(np.arange(200.0)), p)
+    pieces = set()
+    for sigma in range(200):
+        with pytest.raises(SolverError, match="singular") as err:
+            linalg.shifted_solver(a, float(sigma))
+        pieces.add("interior" in str(err.value))
+    assert pieces == ({True} if p == 0 else {True, False})
 
 
 @pytest.mark.parametrize("k", range(1, 9))
