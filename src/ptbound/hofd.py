@@ -10,7 +10,7 @@ itself (`grid_size`, which a caller can also run before other work). The
 compactification scale zeta is retuned per eigenvalue index, so the
 hyperbolic operator is rebuilt for every requested level. Each
 build writes a*Delta2 + b*Delta1 + diag(V) straight from the 2k-1 stencil
-weight pairs (`operator`), computed once per (order, k) in a process, and
+weight pairs (`operator`), computed once per k in a process, and
 samples the potential once, for the diagonal and the shift.
 
 The operator is real and nonsymmetric, and only its lowest few near-real
@@ -57,53 +57,39 @@ def zeta(j: int) -> float:
     return 0.6 * j ** (-0.7)
 
 
-def fd_weights(l: int, nodes: list[int], eval_offset: int) -> np.ndarray:
-    """Finite-difference weights of maximal consistency order.
-
-    The weights w_j make sum_j w_j f(node_j) the l-th derivative at
-    eval_offset of the polynomial interpolating f on the nodes, so the
-    stencil is exact on all monomials the node count supports. They come
-    from Fornberg's recursion (Math. Comp. 51 (1988) 699), which adds one
-    node at a time to the derivatives of the Lagrange basis and solves no
-    linear system.
-    """
-    if l not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
-    nodes = list(nodes)
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("stencil nodes must be distinct")
-    m = len(nodes)
-    if m < l + 1:
-        raise ValueError(f"need at least {l + 1} nodes for order-{l} derivative")
-    # offsets from the evaluation point first: the weights then depend only
-    # on them, bitwise, wherever the window sits on the grid
-    d = [float(x - eval_offset) for x in nodes]
-    # c[j][q]: weight of node j in the q-th derivative over the nodes so far
-    c = [[1.0] + [0.0] * l] + [[0.0] * (l + 1) for _ in range(m - 1)]
-    orders = range(l, 0, -1)  # descending: c[j][q - 1] still holds its old value
-    c1 = 1.0  # prod_{j < i-1} (d[i-1] - d[j])
-    for i in range(1, m):
-        c2 = 1.0
-        for j in range(i):
-            c3 = d[i] - d[j]
-            c2 *= c3
-            cj = c[j]
-            if j == i - 1:
-                ci = c[i]
-                for q in orders:
-                    ci[q] = c1 * (q * cj[q - 1] - d[j] * cj[q]) / c2
-                ci[0] = -c1 * d[j] * cj[0] / c2
-            for q in orders:
-                cj[q] = (d[i] * cj[q] - q * cj[q - 1]) / c3
-            cj[0] = d[i] * cj[0] / c3
-        c1 = c2
-    return np.array([row[l] for row in c])
-
-
 @functools.cache
-def _weight_table(l: int, k: int) -> np.ndarray:
-    """Order-l weights over the window 0..2k at nodes 1..2k-1 (shared: read-only)."""
-    table = np.array([fd_weights(l, range(2 * k + 1), q) for q in range(1, 2 * k)])
+def _weight_table(k: int) -> np.ndarray:
+    """Maximally consistent weights over the window 0..2k, shared and
+    read-only: table[l - 1, q - 1] is the order-l stencil at node q, for
+    l = 1, 2 and q = 1..2k-1, exact on all polynomials of degree <= 2k.
+
+    Fornberg's recursion (Math. Comp. 51 (1988) 699) adds one node at a
+    time to the derivatives of the Lagrange basis and solves no linear
+    system. Order l reads only orders l and l - 1, so one sweep per node
+    gives both orders.
+    """
+    table = np.empty((2, 2 * k - 1, 2 * k + 1))
+    for q in range(1, 2 * k):
+        d = [float(x - q) for x in range(2 * k + 1)]  # offsets from node q
+        # c[j][l]: weight of node j in the l-th derivative over the nodes so far
+        c = [[1.0, 0.0, 0.0]] + [[0.0] * 3 for _ in range(2 * k)]
+        c1 = 1.0  # prod_{j < i-1} (d[i-1] - d[j])
+        for i in range(1, 2 * k + 1):
+            c2 = 1.0
+            for j in range(i):
+                c3 = d[i] - d[j]
+                c2 *= c3
+                cj = c[j]
+                if j == i - 1:
+                    ci = c[i]
+                    for l in (2, 1):
+                        ci[l] = c1 * (l * cj[l - 1] - d[j] * cj[l]) / c2
+                    ci[0] = -c1 * d[j] * cj[0] / c2
+                for l in (2, 1):  # descending: cj[l - 1] is still the old value
+                    cj[l] = (d[i] * cj[l] - l * cj[l - 1]) / c3
+                cj[0] = d[i] * cj[0] / c3
+            c1 = c2
+        table[:, q - 1] = np.array(c)[:, 1:].T
     table.flags.writeable = False
     return table
 
@@ -119,15 +105,14 @@ def operator(M: int, k: int, a, b, c) -> np.ndarray:
     from the walls, one-sided within k of them. Columns for the Dirichlet
     endpoints s_0 and s_{M+1} are dropped. The weights depend only on where
     s_i sits in its window, so 2k-1 weight pairs serve all M rows: k-1 per
-    wall and the centered one, computed once per (order, k) and shared.
+    wall and the centered one, computed once per k and shared.
     """
     h, p = 1.0 / (M + 1), 2 * k - 1
     i = np.arange(M)  # row i holds s_{i+1}
     start = np.clip(i + 1 - k, 0, M + 1 - 2 * k)
     window = np.arange(2 * k + 1)
     at = i - start  # s_{i+1} is node at + 1 (1 .. 2k-1) of its window
-    w1 = _weight_table(1, k)[at] / h
-    w2 = _weight_table(2, k)[at] / h**2
+    w1, w2 = _weight_table(k)[0, at] / h, _weight_table(k)[1, at] / h**2
     a, b = (np.broadcast_to(x, (M,))[:, None] for x in (a, b))
     cols = start[:, None] + window - 1  # grid index t -> interior column t-1
     rows = np.broadcast_to(i[:, None], cols.shape)

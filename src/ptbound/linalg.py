@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SolverError
 
 SYMMETRY_RTOL = 1e-12
-RESIDUAL_RTOL = 1e-10
+RESIDUAL_RTOL = 1e-12  # worst measured on the default and ladder grids: 2.7e-15
 REALNESS_RTOL = 1e-8
 KRYLOV_STEP = 20  # basis vectors added between convergence checks
 RITZ_RTOL = 1e-13  # Ritz residual estimate beta_m |y_m| relative to |theta|

@@ -16,12 +16,11 @@ closed form).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TraValidityError
+from .errors import DomainError, TraValidityError
 from .potentials import HyperbolicParams, TrigParams
 
 
@@ -168,19 +167,17 @@ def eval_wavefunction(sol: SeriesSolution, p: HyperbolicParams | TrigParams,
                       x_grid) -> tuple[np.ndarray, np.ndarray]:
     """Sample the (un-normalized) wavefunction series on x_grid.
 
-    Grid points on or outside the open domain are excluded with a warning.
-    Returns (kept_x, psi). A sample that is not finite (far out, the
-    prefactor can be 0 * inf) raises TraValidityError.
+    Returns (x, psi). A grid point on or outside the open domain (x <= 0,
+    or x >= a for the finite well) raises DomainError, as the potentials
+    do; a sample that is not finite (far out, the prefactor can be
+    0 * inf) raises TraValidityError.
     """
     x = np.asarray(x_grid, dtype=float)
     if isinstance(p, HyperbolicParams):
-        keep = x > 0.0
-    else:
-        keep = (x > 0.0) & (x < p.a)
-    if not np.all(keep):
-        warnings.warn(f"excluded {int((~keep).sum())} grid points outside "
-                      "the open domain", RuntimeWarning, stacklevel=2)
-    x = x[keep]
+        if np.any(x <= 0):
+            raise DomainError("series wavefunction requires x > 0")
+    elif np.any(x <= 0) or np.any(x >= p.a):
+        raise DomainError("series wavefunction requires 0 < x < a")
     mu, nu = sol.mu, sol.nu
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if isinstance(p, HyperbolicParams):

@@ -212,30 +212,49 @@ def test_nonfinite_input_stderr_is_one_error_line(argv, code):
     assert proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("flags, method, k, count", [
-    (S3_FLAGS, "hofd", 40, []), (S3_FLAGS, "hofd", 50, []),
-    (S3_FLAGS, "hofd", 50, ["--count", "3"]), (S4_FLAGS, "hofd", 40, []),
-    (S4_FLAGS, "hofd", 50, []), (S4_FLAGS, "both", 40, []),
-    (S1_FLAGS, "both", 36, [])],
-    ids=["S3-40", "S3-50", "S3-50-count3", "S4-40", "S4-50", "S4-40-both",
-         "S1-36-both"])
-def test_wide_stencil_artifact_fails(capsys, flags, method, k, count):
-    # these stencils put levels at or left of min V - 1, the shift that HOFD
-    # takes to lie left of the whole spectrum, and once exited 0: S3 printed
-    # ten levels from -4.56e4 at k = 40 and 1.12996 three times at k = 50
-    # (min V - 1 = 1.12997), S4 printed -1.19e6 beside DVR's 29.96, and S1
-    # printed -1668 beside DVR's -17.29 (min V - 1 = -27.06)
+ARTIFACT = r"error: level .* lies at or below min V - 1 = .*: a stencil artifact"
+CONTRACT = r"error: eigenpair residual .* exceeds contract"
+
+
+@pytest.mark.parametrize("flags, method, k, count, message", [
+    (S3_FLAGS, "hofd", 40, [], f"{ARTIFACT}|{CONTRACT}"),
+    (S3_FLAGS, "hofd", 50, [], f"{ARTIFACT}|{CONTRACT}"),
+    (S3_FLAGS, "hofd", 50, ["--count", "3"], f"{ARTIFACT}|{CONTRACT}"),
+    (S4_FLAGS, "hofd", 40, [], CONTRACT), (S4_FLAGS, "hofd", 50, [], ARTIFACT),
+    (S4_FLAGS, "both", 40, [], CONTRACT), (S1_FLAGS, "both", 36, [], CONTRACT),
+    (S3_FLAGS, "both", 20, [], CONTRACT), (S1_FLAGS, "hofd", 28, [], CONTRACT)],
+    ids=["S3-40", "S3-50", "S3-50-count3", "S4-40", "S4-50",
+         "S4-40-both", "S1-36-both", "S3-20-both", "S1-28"])
+def test_wide_stencil_artifact_fails(capsys, flags, method, k, count, message):
+    # wide stencils once exited 0 with levels no solve can stand by. Some put
+    # levels at or left of min V - 1, the shift that HOFD takes to lie left
+    # of the whole spectrum: S3 printed ten levels from -4.56e4 at k = 40 and
+    # 1.12996 three times at k = 50 (min V - 1 = 1.12997), S4 printed
+    # -1.19e6 beside DVR's 29.96, and S1 printed -1668 beside DVR's -17.29
+    # (min V - 1 = -27.06). Others printed noise within a residual contract
+    # of 1e-10: S3 at k = 20 (residual 3.5e-12 at two BLAS threads, 5.4e-12
+    # at one) printed E_9 = 805.167 (805.171 at one thread) beside DVR's
+    # 805.156, where HOFD at M = 2000 gives 805.160, and S1 at k = 28
+    # (2.9e-12, 2.0e-11) printed a top level 8.1e-10 off at one thread.
+    # Where both checks fail, the contract runs first. S3 at k = 40 and 50
+    # sit at the contract's edge (residual 2.5e-14 and 2.2e-12 at one BLAS
+    # thread, 3.4e-11 and 1.6e-14 at two), so either check may refuse them
     code, out, err = run(capsys, "spectrum", *flags, "--method", method,
                          "--stencil-k", str(k), *count)
     assert code == 3 and out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: level ") and "stencil artifact" in err
+    assert re.fullmatch(message, err.strip())
 
 
 @pytest.mark.parametrize("k", range(1, 21))
 def test_stencil_widths_keep_level_counts(capsys, k):
-    # the artifact check passes every level of the stencils up to k = 20
-    for flags, levels in ((S1_FLAGS, 3), (S3_FLAGS, dvr.TRIG_LEVELS)):
+    # the residual contract and the artifact check pass every level of the
+    # stencils up to k = 20 on S1 and k = 19 on S3 (S3's residual at k = 19
+    # is 4.9e-13; at k = 20 it fails, above)
+    for flags, levels, k_max in ((S1_FLAGS, 3, 20),
+                                 (S3_FLAGS, dvr.TRIG_LEVELS, 19)):
+        if k > k_max:
+            continue
         code, out, _ = run(capsys, "spectrum", *flags, "--method", "hofd",
                            "--stencil-k", str(k))
         assert code == 0 and len(parse_csv(out)[2]) == levels

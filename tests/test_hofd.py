@@ -42,26 +42,19 @@ def test_zeta_rule():
 
 
 def test_fd_weights_classic():
-    assert np.allclose(hofd.fd_weights(2, [-1, 0, 1], 0), [1.0, -2.0, 1.0])
-    assert np.allclose(hofd.fd_weights(1, [-1, 0, 1], 0), [-0.5, 0.0, 0.5])
-    assert np.allclose(hofd.fd_weights(2, [-2, -1, 0, 1, 2], 0),
+    # the rows of the one weight table: order 1 at index 0, order 2 at 1
+    assert np.allclose(hofd._weight_table(1)[1, 0], [1.0, -2.0, 1.0])
+    assert np.allclose(hofd._weight_table(1)[0, 0], [-0.5, 0.0, 0.5])
+    assert np.allclose(hofd._weight_table(2)[1, 1],
                        [-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12])
 
 
 def test_fd_weights_symmetry():
-    w1 = hofd.fd_weights(1, list(range(-3, 4)), 0)
-    w2 = hofd.fd_weights(2, list(range(-3, 4)), 0)
-    assert np.allclose(w1, -w1[::-1])  # first derivative antisymmetric
-    assert np.allclose(w2, w2[::-1])   # second derivative symmetric
-
-
-def test_fd_weights_validation():
-    with pytest.raises(ValueError):
-        hofd.fd_weights(3, [-1, 0, 1], 0)
-    with pytest.raises(ValueError):
-        hofd.fd_weights(2, [0, 0, 1], 0)
-    with pytest.raises(ValueError):
-        hofd.fd_weights(2, [0, 1], 0)
+    # node q and node 2k - q mirror each other: order 1 changes sign
+    for k in range(1, 9):
+        w1, w2 = hofd._weight_table(k)
+        assert np.allclose(w1, -w1[::-1, ::-1])
+        assert np.allclose(w2, w2[::-1, ::-1])
 
 
 def _exact_weights(l, nodes, x0):
@@ -80,26 +73,28 @@ def _exact_weights(l, nodes, x0):
 
 
 def test_fd_weights_exact():
+    # every row of the table, the wall stencils and the centered one
     for k in range(1, 9):
         window = list(range(2 * k + 1))
-        cases = [(list(range(-k, k + 1)), 0)] + [(window, r) for r in range(1, k)]
-        for nodes, x0 in cases:
-            for l in (1, 2):
-                exact = _exact_weights(l, nodes, x0)
-                got = hofd.fd_weights(l, nodes, x0)
+        table = hofd._weight_table(k)
+        assert table.shape == (2, 2 * k - 1, 2 * k + 1)
+        for l in (1, 2):
+            for q in range(1, 2 * k):
+                exact = _exact_weights(l, window, q)
+                got = table[l - 1, q - 1]
                 bound = 4e-15 * max(1.0, max(abs(float(e)) for e in exact))
                 err = max(abs(Fraction(float(w)) - e) for w, e in zip(got, exact))
-                assert err <= bound, (k, x0, l, float(err))
+                assert err <= bound, (k, q, l, float(err))
 
 
-def test_delta_matrices_k1_tridiagonal():
+def test_operator_k1_tridiagonal():
     d2 = dense(hofd.operator(6, 1, 1.0, 0.0, 0.0))
     lap = (np.diag([-2.0] * 6) + np.diag([1.0] * 5, 1)
            + np.diag([1.0] * 5, -1)) / (1.0 / 7) ** 2
     assert np.abs(d2 - lap).max() == 0.0
 
 
-def test_delta_matrices_moment_conditions():
+def test_operator_moment_conditions():
     M, k = 40, 3
     d1 = dense(hofd.operator(M, k, 0.0, 1.0, 0.0))
     d2 = dense(hofd.operator(M, k, 1.0, 0.0, 0.0))
@@ -167,8 +162,9 @@ def test_near_real_filter():
     assert np.allclose(real, [1.0, 3.0])
 
 
-def _delta_matrices_by_row(M, k):
-    """Reference build: one pair of weight solves per row."""
+def _operator_by_row(M, k):
+    """Reference build: Delta1 and Delta2 as dense matrices, row by row,
+    each row's window placed by hand and its weights read from the table."""
     h = 1.0 / (M + 1)
     d1 = np.zeros((M, M))
     d2 = np.zeros((M, M))
@@ -180,8 +176,7 @@ def _delta_matrices_by_row(M, k):
             window = list(range(i - k, i + k + 1))
         else:
             window = list(range(t, t + 2 * k + 1))
-        w1 = hofd.fd_weights(1, window, i)
-        w2 = hofd.fd_weights(2, window, i)
+        w1, w2 = hofd._weight_table(k)[:, i - window[0] - 1]
         for node, a1, a2 in zip(window, w1, w2):
             if 1 <= node <= M:
                 d1[i - 1, node - 1] += a1
@@ -195,10 +190,10 @@ def _delta_matrices_by_row(M, k):
 def test_delta_matrices_match_row_by_row(M, k):
     # the operator is a*D2 + b*D1 + diag(c) over the reference matrices,
     # bitwise, signed zeros included; the box operator is -D2/(2a^2) + diag(V)
-    d1, d2 = _delta_matrices_by_row(M, k)
+    d1, d2 = _operator_by_row(M, k)
     a, b, c = np.random.default_rng(100 * M + k).uniform(-5.0, 5.0, (3, M))
     want = a[:, None] * d2 + b[:, None] * d1 + np.diag(c)
-    for _ in range(2):  # a second build reads the shared weight tables
+    for _ in range(2):  # a second build reads the shared weight table
         assert dense(hofd.operator(M, k, a, b, c)).tobytes() == want.tobytes()
     p = TrigParams(V0=5.0, C=-10.0, D=2.0, a=1.037)
     op, v = hofd.box_operator(p, M, k)
@@ -206,13 +201,12 @@ def test_delta_matrices_match_row_by_row(M, k):
 
 
 def test_weight_tables_shared_read_only():
-    # every operator build reads these same two arrays for k = 4
-    for order in (1, 2):
-        table = hofd._weight_table(order, 4)
-        assert table is hofd._weight_table(order, 4)
-        assert table.shape == (7, 9)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+    # every operator build reads this same array for k = 4
+    table = hofd._weight_table(4)
+    assert table is hofd._weight_table(4)
+    assert table.shape == (2, 7, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
 
 
 def _dense_levels(p, M, count):

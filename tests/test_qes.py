@@ -14,6 +14,9 @@ BLAS threads. The HOFD error grows from M = 500 to M = 1000: at these grids
 it is rounding, not discretization.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from ptbound import dvr, hofd
@@ -60,3 +63,60 @@ def test_dvr_default_exact_level():
     V0, N, A, j, exact = POINTS["V0=10-N12-A52"]
     got = dvr.solve_spectrum(_params(V0, N, A)).eigenvalues
     assert abs(got[j] - exact) <= 2e-13
+
+
+def _pencil(V0, N, A):
+    """Rows z^0 .. z^(N+1) of the ansatz's equations in the coefficients
+    p_0 .. p_N of P_N, as M0 + mu M1 (kappa = 1, c = sqrt(2 V0)). Term z^k
+    of P_N feeds z^(k+2): -2c(N - k); z^(k+1): 2(A + c mu) - (N - k)(N - k
+    + 1); z^k: 2(c + mu)(N + 1 - k); z^(k-1): -k(2N + 3 - k)."""
+    c = math.sqrt(2.0 * V0)
+    M0, M1 = np.zeros((2, N + 3, N + 1))  # row z^(N+2) stays zero
+    for k in range(N + 1):
+        M0[k + 2, k] = -2.0 * c * (N - k)
+        M0[k + 1, k], M1[k + 1, k] = 2.0 * A - (N - k) * (N - k + 1), 2.0 * c
+        M0[k, k], M1[k, k] = 2.0 * c * (N + 1 - k), 2.0 * (N + 1 - k)
+        if k:
+            M0[k - 1, k] = -k * (2 * N + 3 - k)
+    return M0[:-1], M1[:-1]
+
+
+def _qes_level(V0, N, A):
+    """(mu, p, checks): of the real eigenvalues mu of the square pencil,
+    rows z^0 .. z^N (M1 is lower bidiagonal with a nonzero diagonal, so
+    an ordinary eigenproblem), the one whose check row z^(N+1) vanishes,
+    with P_N scaled to a largest coefficient of 1 and refined by one Newton
+    step on the square rows; and the check-row residuals of all of them,
+    ascending."""
+    M0, M1 = _pencil(V0, N, A)
+    mus, vecs = np.linalg.eig(-np.linalg.solve(M1[:-1], M0[:-1]))
+    real = mus.imag == 0.0
+    mus, vecs = mus.real[real], vecs.real[:, real]
+    vecs = vecs / vecs[np.abs(vecs).argmax(axis=0), np.arange(len(mus))]
+    checks = np.abs(M0[-1] @ vecs + mus * (M1[-1] @ vecs))
+    best = checks.argmin()
+    mu, p = mus[best], vecs[:, best]
+    # Newton on (M0 + mu M1) p = 0 with the largest coefficient held at 1
+    jac = np.zeros((N + 2, N + 2))
+    jac[:-1, :-1] = M0[:-1] + mu * M1[:-1]
+    jac[:-1, -1] = M1[:-1] @ p
+    jac[-1, np.abs(p).argmax()] = 1.0
+    step = np.linalg.solve(jac, -np.append(jac[:-1, :-1] @ p, 0.0))
+    return mu + step[-1], p + step[:-1], np.sort(checks)
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_pencil_gives_stored_level(name):
+    # numpy alone rebuilds each stored level from its (V0, N, A). Measured at
+    # one and two BLAS threads: check-row residual at most 9.7e-14 (bound
+    # 1e-12), the next eigenvalue's at least 2.9e-8 (floor 1e-9);
+    # |E - stored| / |E| at most 4.4e-15 (up to 3.0e-14 before the Newton
+    # step), so the bound 3e-14 has a margin of 6.8x
+    V0, N, A, j, exact = POINTS[name]
+    mu, p, checks = _qes_level(V0, N, A)
+    assert checks[0] <= 1e-12 and checks[1] >= 1e-9
+    assert mu > 0.0
+    assert abs(-0.5 * mu**2 - exact) <= 3e-14 * abs(exact)
+    # P_N's roots on (1, inf), the nodes of psi in x, number the level index
+    roots = np.roots(p[::-1])
+    assert np.sum(np.isreal(roots) & (roots.real > 1.0)) == j

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conftest import pochhammer
 
 from ptbound import dvr, reference, tra
-from ptbound.errors import TraValidityError
+from ptbound.errors import DomainError, TraValidityError
 from ptbound.potentials import HyperbolicParams, TrigParams
 
 S1 = HyperbolicParams(V0=10.0, A=-20.0, B=-30.0, kappa=1.0)
@@ -421,12 +422,17 @@ def test_eval_wavefunction_nonfinite_raises():
             tra.eval_wavefunction(sol, p, np.array([1.0, near, far]))
 
 
-def test_eval_wavefunction_excludes_boundary():
-    sol = tra.assemble_solution(S4, 29.961374)
-    with pytest.warns(RuntimeWarning):
-        kept, psi = tra.eval_wavefunction(sol, S4, np.array([0.0, 0.5, 1.0]))
-    assert kept.tolist() == [0.5]
-    assert psi.shape == (1,)
+def test_eval_wavefunction_outside_domain_raises():
+    # points on or outside the open domain were once dropped with a
+    # warning; they are an error, as in the potentials
+    cases = [(S4, 29.961374, x) for x in (0.0, S4.a)]
+    cases += [(S1, E1[1], x) for x in (0.0, -1.0)]
+    for p, energy, bad in cases:
+        sol = tra.assemble_solution(p, energy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="requires"):
+                tra.eval_wavefunction(sol, p, np.array([0.5, bad]))
 
 
 def test_truncation_monotone_trig():
